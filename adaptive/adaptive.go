@@ -89,10 +89,12 @@ func (s *System) CompressStatic(ctx context.Context, f *Field, eb float64) (*Com
 	return s.eng.CompressStatic(ctx, f, eb)
 }
 
-// CompressInSitu runs the paper's full in situ protocol over the
-// simulated MPI runtime: rank-local feature extraction, one Allreduce for
-// the global anchor, rank-local error-bound optimization (plus the
-// optional halo-budget collective), then rank-local compression.
+// CompressInSitu runs the paper's in situ protocol over a simulated
+// in-process world of opt.Ranks ranks: rank-local feature scan, one gather
+// of the per-partition features, the same plan on every rank, rank-local
+// compression. The result is byte-identical to Plan + CompressAdaptive on
+// the same calibration and budget at any rank count; the stats report the
+// per-phase critical path (the Sec. 4.3 overhead).
 func (s *System) CompressInSitu(ctx context.Context, f *Field, cal *Calibration, opt InSituOptions) (*CompressedField, *InSituStats, error) {
 	return s.eng.CompressInSitu(ctx, f, cal, opt)
 }

@@ -13,17 +13,21 @@ import (
 
 // Distributed operation. A distributed run is N rank processes joined to a
 // coordinator over TCP (rank 0's process usually hosts it). Each rank
-// consumes the same deterministic source, compresses the partitions it owns
-// through the in situ protocol, and streams them into its own shard file;
-// after the run, MergeShards reassembles the shards into the exact stream a
-// single-process run would have written — byte-identical, regardless of
-// rank count or mid-run rank failures.
+// consumes the same deterministic source and runs the same step driver
+// System.Step runs — scan the partitions it owns, one gather of the
+// per-partition features, the same plan on every rank, compress the owned
+// partitions, sum the observed bytes — streaming its share into its own
+// shard file; after the run, MergeShards reassembles the shards into the
+// exact stream a single-process System.Run would have written for the same
+// source, budgets and policy — byte-identical, regardless of rank count or
+// mid-run rank failures.
 //
 // When a rank dies (crash, kill -9, network cut), the transport's failure
 // detector surfaces a typed *RankFailedError from the pending collective
-// instead of hanging. Survivors roll back the uncommitted step, recompute
-// the partition assignment over the survivor set, and retry under a new
-// membership epoch. See cmd/adaptivemd for the complete launcher.
+// instead of hanging. Survivors roll back the uncommitted step (shard bytes
+// and calibration state alike), recompute the partition assignment over the
+// survivor set, and retry under a new membership epoch. See cmd/adaptivemd
+// for the complete launcher.
 
 // ErrRankFailed marks a collective aborted because a peer rank died. The
 // typed form, RankFailedError, names the rank and the membership epoch that
@@ -33,8 +37,8 @@ var ErrRankFailed = apierr.ErrRankFailed
 
 // RankFailedError is the typed form of ErrRankFailed: errors.As extracts
 // the failed rank and the new epoch, while errors.Is on the same error
-// still matches the sentinel. Rank 0 failing is terminal — it hosts the
-// coordinator.
+// still matches the sentinel. Losing the coordinator itself is terminal;
+// a live coordinator reporting rank 0's transport dead is not.
 type RankFailedError = apierr.RankFailedError
 
 // Transport is the rank-to-rank communication layer behind a Comm: the
@@ -93,9 +97,11 @@ type RankRunStats = pipeline.RankRunStats
 // RunRank runs this rank's side of a distributed compression run: it
 // consumes src until the end of the stream, writes this rank's shard
 // stream to shard (use a file — rollback after a peer failure needs
-// Truncate+Seek), and commits each step with a barrier. Peer failures are
-// absorbed by rebalance-and-retry; the error return is reserved for
-// terminal conditions (bad config, coordinator loss, local I/O failure).
+// Truncate+Seek), and commits each step with a barrier. Budgets are
+// absolute (RankConfig.AvgEB / AvgEBs); the recalibration schedule is the
+// streaming default (drift-triggered). Peer failures are absorbed by
+// rebalance-and-retry; the error return is reserved for terminal
+// conditions (bad config, coordinator loss, local I/O failure).
 func RunRank(ctx context.Context, t Transport, src Source, shard io.Writer, cfg RankConfig) (*RankRunStats, error) {
 	return pipeline.RunRank(ctx, t, src, shard, cfg)
 }

@@ -25,6 +25,17 @@
 //
 //	stats, err := sys.Run(ctx, source)                   // until io.EOF or cancel
 //
+// The same step driver serves a distributed run: RunRank is one rank of N
+// (in-process via RunWorld, or TCP via JoinWorld), each compressing the
+// partitions it owns into its own shard, and MergeShards reassembles them
+// into the archive sys.Run writes in a single process for the same source,
+// budgets and policy — byte for byte, at any rank count and across mid-run
+// rank failures. The protocol is the same everywhere: rank-local feature
+// scan, one gather of the per-partition features, one planner run on the
+// full vector on every rank (so mean(eb) equals the budget exactly), rank-
+// local compression; CompressInSitu runs it once over a simulated world and
+// returns the bytes of Plan + CompressAdaptive.
+//
 // # Cancellation
 //
 // Every long-running entry point takes a context.Context. Cancellation is

@@ -108,13 +108,58 @@ func TestFacadeSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// In situ protocol.
-	cf, st, err := sys.CompressInSitu(ctx, density, cal, adaptive.InSituOptions{Ranks: 4, AvgEB: avgEB})
+	// In situ protocol: one planner, so any world size returns the bytes
+	// of Plan + CompressAdaptive on the same calibration and budget — with
+	// the halo budget too, whose boundary cells the ranks' scan counts
+	// exactly as HaloBudget did.
+	offline, err := sys.CompressAdaptive(ctx, density, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ranks != 4 || cf.CompressedSize() <= 0 {
-		t.Fatalf("in situ: ranks %d size %d", st.Ranks, cf.CompressedSize())
+	lowCfg := hcfg
+	lowCfg.BoundaryThreshold = 2 // a threshold whose ±1 band this small field populates
+	low, err := adaptive.HaloBudget(density, lowCfg, 0.01, 1.0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	massFault, err := adaptive.MassFaultEstimate(low.TBoundary, low.RefEB, low.BoundaryCells, plan.EBs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := low.HaloConstraint
+	tight.MassBudget = massFault / 2 // half the plan's estimate, so the Eq. 11 downscale bites
+	haloPlan, err := sys.Plan(ctx, density, cal, adaptive.PlanOptions{AvgEB: avgEB, Halo: &tight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !haloPlan.Predicted.HaloScaled {
+		t.Fatal("halo budget did not bite; the halo comparison below is vacuous")
+	}
+	offlineHalo, err := sys.CompressAdaptive(ctx, density, haloPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf *adaptive.CompressedField
+	for _, ranks := range []int{1, 3, 4, 64} {
+		var st *adaptive.InSituStats
+		cf, st, err = sys.CompressInSitu(ctx, density, cal, adaptive.InSituOptions{Ranks: ranks, AvgEB: avgEB})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Ranks != ranks || !bytes.Equal(cf.Bytes(), offline.Bytes()) {
+			t.Fatalf("in situ over %d ranks (stats say %d) differs from Plan + CompressAdaptive", ranks, st.Ranks)
+		}
+		withHalo, st, err := sys.CompressInSitu(ctx, density, cal, adaptive.InSituOptions{
+			Ranks: ranks, AvgEB: avgEB,
+			Halo: &adaptive.HaloConstraint{TBoundary: tight.TBoundary, RefEB: tight.RefEB, MassBudget: tight.MassBudget},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.HaloScale != haloPlan.Predicted.HaloScale || !bytes.Equal(withHalo.Bytes(), offlineHalo.Bytes()) {
+			t.Fatalf("in situ with a halo budget over %d ranks differs from Plan + CompressAdaptive (scale %v vs %v)",
+				ranks, st.HaloScale, haloPlan.Predicted.HaloScale)
+		}
 	}
 
 	// Analysis metrics on the reconstruction.

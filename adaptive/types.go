@@ -59,8 +59,10 @@ type Plan = core.Plan
 // PlanOptions selects the quality budget for planning.
 type PlanOptions = core.PlanOptions
 
-// HaloConstraint is the optimizer-level halo-mass budget an optional
-// PlanOptions.Halo carries.
+// HaloConstraint is the halo-mass budget: what PlanOptions.Halo,
+// InSituOptions.Halo and RankConfig.Halo carry. The step paths (in situ,
+// distributed ranks) count BoundaryCells in each step's feature scan;
+// one-shot planning takes them from HaloBudget.
 type HaloConstraint = optimizer.HaloConstraint
 
 // Strategy selects the error-bound allocation exponent (WithStrategy).
@@ -89,15 +91,13 @@ func ParseArchive(data []byte) (*CompressedField, error) {
 // average-error-bound budget (SpectrumBudget).
 type BudgetOptions = core.BudgetOptions
 
-// HaloBudgetResult carries the derived halo-mass budget plus the
-// reference catalog it was derived from.
+// HaloBudgetResult is the HaloConstraint derived from a reference snapshot
+// (hand &r.HaloConstraint to PlanOptions.Halo) plus the reference catalog
+// it was derived from.
 type HaloBudgetResult = core.HaloBudgetResult
 
 // InSituOptions configures one in situ compression (System.CompressInSitu).
 type InSituOptions = core.InSituOptions
-
-// InSituHalo carries the halo budget for the in situ path.
-type InSituHalo = core.InSituHalo
 
 // InSituStats reports per-phase critical-path times and collective counts
 // of an in situ compression.

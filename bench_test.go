@@ -26,6 +26,7 @@ import (
 	"repro/internal/halo"
 	"repro/internal/huffman"
 	"repro/internal/nyx"
+	"repro/internal/optimizer"
 	"repro/internal/pipeline"
 	"repro/internal/spectrum"
 	"repro/internal/stats"
@@ -274,16 +275,18 @@ func BenchmarkHaloFinder(b *testing.B) {
 
 func BenchmarkFeatureExtraction(b *testing.B) {
 	f := benchDensity(b)
-	p, err := grid.PartitionerForBrickDim(f.Nx, 16)
+	eng, err := core.NewEngine(core.Config{PartitionDim: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
 	bt, _ := nyx.DefaultHaloConfig()
-	opt := grid.FeatureOptions{HaloThreshold: bt, RefEB: 1}
+	hc := &optimizer.HaloConstraint{TBoundary: bt, RefEB: 1}
 	b.SetBytes(int64(4 * f.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		grid.ExtractFeatures(f, p, opt)
+		if _, err := eng.ScanOwned(context.Background(), f, nil, hc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -109,8 +109,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		hc := hb.Constraint()
-		opts.Halo = &hc
+		opts.Halo = &hb.HaloConstraint
 		fmt.Printf("  halo budget: %d halos, mass budget %.4g\n",
 			hb.Catalog.Count(), hb.MassBudget)
 	}

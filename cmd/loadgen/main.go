@@ -2,8 +2,8 @@
 // concurrent clients posting Nyx-like fields for compression over h2c,
 // measuring throughput (field-steps/sec), latency percentiles, and the
 // backpressure/adaptation behavior (429 counts, final rate level). It is
-// both the benchmark harness behind BENCH_PR7.json and the CI smoke test
-// for the service.
+// the CI smoke test for the service and the tool for ad-hoc load runs (the
+// tracked numbers come from the bench/ harness).
 //
 // Each worker drives an adaptive.Client, so refused requests back off the
 // way a real client would — capped exponential backoff with full jitter,
@@ -16,7 +16,7 @@
 //
 //	loadgen -url http://127.0.0.1:8323 -clients 1000 -duration 10s \
 //	        [-dim 32] [-fields 4] [-tenants 8] [-retries 4] [-label adapt-on] \
-//	        [-json BENCH_PR7.json] [-max-p99 2s]
+//	        [-json runs.json] [-max-p99 2s]
 //
 // With -mode read it instead drives an archived server with an archive
 // browse workload: steps are drawn from a Zipf distribution (hot recent
@@ -28,11 +28,10 @@
 //
 //	loadgen -mode read -url http://127.0.0.1:8324 -stream demo \
 //	        -clients 64 -duration 10s [-browse-rate 4] [-analysis-rate 0] \
-//	        [-browse-frac 0.8] [-zipf-s 1.3] [-json BENCH_PR10.json]
+//	        [-browse-frac 0.8] [-zipf-s 1.3] [-json runs.json]
 //
-// With -json the results merge into the named file under -label (same
-// shape as the BENCH_PR*.json trajectory files: a "runs" map keyed by
-// label). With -max-p99 the command exits non-zero when the successful
+// With -json the results merge into the named file under -label (a
+// "runs" map keyed by label). With -max-p99 the command exits non-zero when the successful
 // requests' p99 exceeds the bound — the CI gate.
 package main
 

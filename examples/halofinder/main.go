@@ -63,8 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hc := hb.Constraint()
-	plan, err := sys.Plan(ctx, density, cal, adaptive.PlanOptions{AvgEB: avgEB, Halo: &hc})
+	plan, err := sys.Plan(ctx, density, cal, adaptive.PlanOptions{AvgEB: avgEB, Halo: &hb.HaloConstraint})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -78,6 +78,13 @@ var (
 	// retried after rebalancing the dead rank's partitions onto the
 	// survivors. Surviving ranks always get this error instead of hanging.
 	ErrRankFailed = errors.New("rank failed")
+
+	// ErrCoordinatorLost marks the one rank failure a survivor cannot retry
+	// through: this rank's own link to the world's coordinator is gone, so
+	// there is no membership left to rebalance in. Transports put it in the
+	// cause chain of the *RankFailedError they return from then on; a live
+	// coordinator's notice about a peer — rank 0 included — never carries it.
+	ErrCoordinatorLost = errors.New("coordinator lost")
 )
 
 // DriftRecalibrationError is the typed form of ErrDriftRecalibration: it

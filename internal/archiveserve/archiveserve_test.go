@@ -144,6 +144,67 @@ func localSplice(t *testing.T, streamPath string, step int, field string, rate f
 	return out.Bytes()
 }
 
+// TestWriterDefaultPartitionIsTwoBricksPerAxis: the zero PartitionDim means
+// two bricks per axis, resolved per field — eight bricks whatever the field
+// size — and the stream such a writer produces is served like any other.
+func TestWriterDefaultPartitionIsTwoBricksPerAxis(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "dflt"+StreamSuffix)
+	w, err := NewWriter(path, WriterOptions{Rate: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteStep(map[string]FieldSpec{
+		"big":   {Field: testField(32, 0)},
+		"small": {Field: testField(16, 1)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, _ := f.Stat()
+	sr, err := core.OpenStream(f, fi.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields, err := sr.ReadStep(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edge := range map[string]int{"big": 16, "small": 8} {
+		if cf := fields[name]; len(cf.Parts) != 8 || cf.PartitionDim != edge {
+			t.Errorf("%s: %d bricks of edge %d, want 8 of edge %d", name, len(cf.Parts), cf.PartitionDim, edge)
+		}
+	}
+	_, ts := newTestServer(t, dir)
+	resp, body := get(t, ts.URL+"/v1/archive/dflt/0/big?rate=4", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fetch from a default-partitioned stream: %s", resp.Status)
+	}
+	if want := localSplice(t, path, 0, "big", 4); !bytes.Equal(body, want) {
+		t.Error("served rate-4 rung differs from the local splice")
+	}
+
+	if _, err := NewWriter(filepath.Join(dir, "neg"+StreamSuffix), WriterOptions{PartitionDim: -1}); !errors.Is(err, apierr.ErrBadConfig) {
+		t.Errorf("negative partition dim: err = %v, want ErrBadConfig", err)
+	}
+	// A one-cell axis cannot be halved: typed rejection, not a division by zero.
+	w, err = NewWriter(filepath.Join(dir, "thin"+StreamSuffix), WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.WriteStep(map[string]FieldSpec{"thin": {Field: grid.NewField3D(1, 4, 4)}}); !errors.Is(err, apierr.ErrBadConfig) {
+		t.Errorf("1-cell axis under the default: err = %v, want ErrBadConfig", err)
+	}
+}
+
 func TestServedRateIsByteIdenticalToLocalSplice(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTestStream(t, dir, "run1", 3, 16)

@@ -17,16 +17,15 @@ type WriterOptions struct {
 	// Rate is the stored ZFP rate — the quality ceiling every lower rung
 	// is spliced from. Default 16 bits/value.
 	Rate float64
-	// PartitionDim splits each axis into this many bricks (default 2).
+	// PartitionDim is the cubic brick edge, which must divide every field
+	// dimension. The zero value resolves per field to half its x extent:
+	// two bricks per axis, eight for a cubic field.
 	PartitionDim int
 }
 
 func (o *WriterOptions) defaults() {
 	if o.Rate == 0 {
 		o.Rate = 16
-	}
-	if o.PartitionDim == 0 {
-		o.PartitionDim = 2
 	}
 }
 
@@ -61,7 +60,7 @@ func NewWriter(path string, opt WriterOptions) (*Writer, error) {
 	if err := (zfp.Options{Rate: opt.Rate}).Validate(); err != nil {
 		return nil, fmt.Errorf("archiveserve: %w: %v", apierr.ErrBadConfig, err)
 	}
-	if opt.PartitionDim < 1 {
+	if opt.PartitionDim < 0 {
 		return nil, fmt.Errorf("archiveserve: %w: partition dim %d", apierr.ErrBadConfig, opt.PartitionDim)
 	}
 	f, err := os.Create(path)
@@ -113,7 +112,10 @@ func (w *Writer) compressField(name string, spec FieldSpec) (*core.CompressedFie
 		return nil, fi, fmt.Errorf("archiveserve: %w: field %q is nil", apierr.ErrBadConfig, name)
 	}
 	d := w.opt.PartitionDim
-	if f.Nx%d != 0 || f.Ny%d != 0 || f.Nz%d != 0 {
+	if d == 0 {
+		d = f.Nx / 2
+	}
+	if d < 1 || f.Nx%d != 0 || f.Ny%d != 0 || f.Nz%d != 0 {
 		return nil, fi, fmt.Errorf("archiveserve: %w: field %q (%d×%d×%d) not divisible by partition dim %d",
 			apierr.ErrBadConfig, name, f.Nx, f.Ny, f.Nz, d)
 	}

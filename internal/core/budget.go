@@ -112,39 +112,26 @@ func HaloBudget(f *grid.Field3D, cfg halo.Config, tol, refEB float64, p *grid.Pa
 	if err != nil {
 		return nil, err
 	}
-	fts := grid.ExtractFeatures(f, p, grid.FeatureOptions{
-		HaloThreshold: cfg.BoundaryThreshold,
-		RefEB:         refEB,
-	})
-	cells := make([]int, len(fts))
-	for i, ft := range fts {
-		cells[i] = ft.BoundaryCells
+	band := grid.HaloBand(cfg.BoundaryThreshold, refEB)
+	cells := make([]int, p.Count())
+	for i, part := range p.Partitions() {
+		_, cells[i] = grid.Scan(f, part, band)
 	}
 	return &HaloBudgetResult{
-		Catalog:       cat,
-		BoundaryCells: cells,
-		RefEB:         refEB,
-		TBoundary:     cfg.BoundaryThreshold,
-		MassBudget:    model.MassBudgetFromRMSE(cat.TotalMass(), tol),
+		HaloConstraint: optimizer.HaloConstraint{
+			TBoundary:     cfg.BoundaryThreshold,
+			RefEB:         refEB,
+			BoundaryCells: cells,
+			MassBudget:    model.MassBudgetFromRMSE(cat.TotalMass(), tol),
+		},
+		Catalog: cat,
 	}, nil
 }
 
-// HaloBudgetResult carries everything the optimizer's halo constraint
-// needs, plus the reference catalog for later comparison.
+// HaloBudgetResult is the optimizer's halo constraint as derived from a
+// reference snapshot (hand &r.HaloConstraint to PlanOptions.Halo), plus the
+// reference catalog for later comparison.
 type HaloBudgetResult struct {
-	Catalog       *halo.Catalog
-	BoundaryCells []int
-	RefEB         float64
-	TBoundary     float64
-	MassBudget    float64
-}
-
-// Constraint converts the budget result into the optimizer's constraint.
-func (h *HaloBudgetResult) Constraint() optimizer.HaloConstraint {
-	return optimizer.HaloConstraint{
-		TBoundary:     h.TBoundary,
-		RefEB:         h.RefEB,
-		BoundaryCells: h.BoundaryCells,
-		MassBudget:    h.MassBudget,
-	}
+	optimizer.HaloConstraint
+	Catalog *halo.Catalog
 }

@@ -157,8 +157,8 @@ func (e *Engine) Calibrate(ctx context.Context, f *grid.Field3D, opts ...Calibra
 	if err != nil {
 		return nil, err
 	}
-	features := e.extractFeatures(ctx, f, p)
-	if err := ctx.Err(); err != nil {
+	features, err := e.Features(ctx, f)
+	if err != nil {
 		return nil, fmt.Errorf("core: calibration: %w", err)
 	}
 	lo, hi := f.MinMax()

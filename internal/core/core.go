@@ -25,6 +25,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -32,6 +33,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/model"
+	"repro/internal/mpi"
 	"repro/internal/optimizer"
 	"repro/internal/parallel"
 )
@@ -188,15 +190,115 @@ func (e *Engine) Plan(ctx context.Context, f *grid.Field3D, cal *Calibration, op
 // PlanFromFeatures, so the field is scanned a single time. Cancellation is
 // checked between partitions.
 func (e *Engine) Features(ctx context.Context, f *grid.Field3D) ([]float64, error) {
+	sc, err := e.ScanOwned(ctx, f, nil, nil)
+	return sc.means, err
+}
+
+// FeatureScan is step 1's result: one rank's scan of the partitions it owns.
+type FeatureScan struct {
+	nParts int
+	owned  []int // nil = every partition
+	means  []float64
+	cells  []int // nil without a halo budget
+	hc     *optimizer.HaloConstraint
+}
+
+// ScanOwned scans the listed partitions of f in place (ascending IDs; nil
+// means every partition): mean |value| and, when hc is set, the halo
+// boundary-cell count of each. It is rank-local — the one data inspection
+// the method needs. Cancellation is checked between partitions.
+func (e *Engine) ScanOwned(ctx context.Context, f *grid.Field3D, owned []int, hc *optimizer.HaloConstraint) (FeatureScan, error) {
 	p, err := e.partitioner(f)
 	if err != nil {
-		return nil, err
+		return FeatureScan{}, err
 	}
-	features := e.extractFeatures(ctx, f, p)
+	parts := p.Partitions()
+	n := len(parts)
+	if owned != nil {
+		n = len(owned)
+	}
+	means := make([]float64, n)
+	var cells []int
+	var band grid.Band
+	if hc != nil {
+		band = grid.HaloBand(hc.TBoundary, hc.RefEB)
+		cells = make([]int, n)
+	}
+	e.forEachPartition(ctx, n, func(j int, _ *codec.Scratch) {
+		pi := j
+		if owned != nil {
+			pi = owned[j]
+		}
+		mean, inBand := grid.Scan(f, parts[pi], band)
+		means[j] = mean
+		if cells != nil {
+			cells[j] = inBand
+		}
+	})
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: feature extraction: %w", err)
+		return FeatureScan{}, fmt.Errorf("core: feature extraction: %w", err)
 	}
-	return features, nil
+	return FeatureScan{nParts: len(parts), owned: owned, means: means, cells: cells, hc: hc}, nil
+}
+
+// Gather is step 2: one allgather of (ID, mean[, cells]) tuples turns every
+// rank's scan into the full feature vector (mean |value| per partition, in
+// partition-ID order) plus, under a halo budget, the constraint with every
+// partition's boundary cells filled in, ready for PlanOptions.Halo. The
+// tuples arrive in rank order and are placed by ID, so the result does not
+// depend on the rank layout. A nil communicator's scan already is the full
+// vector; nothing is exchanged.
+//
+// Every partition must arrive exactly once — a missing, duplicate or
+// out-of-range ID means the ranks disagree about ownership (mismatched
+// configuration) and is rejected as apierr.ErrBadConfig rather than planned
+// on. A dead peer surfaces as the transport's typed *apierr.RankFailedError.
+func (sc FeatureScan) Gather(c *mpi.Comm) ([]float64, *optimizer.HaloConstraint, error) {
+	means, cells := sc.means, sc.cells
+	if c != nil {
+		stride := 2
+		if cells != nil {
+			stride = 3
+		}
+		tuples := make([]float64, 0, stride*len(sc.owned))
+		for j, pi := range sc.owned {
+			tuples = append(tuples, float64(pi), sc.means[j])
+			if cells != nil {
+				tuples = append(tuples, float64(sc.cells[j]))
+			}
+		}
+		all, err := c.AllgatherSlice(tuples)
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(all) != stride*sc.nParts {
+			return nil, nil, fmt.Errorf("core: %w: feature gather delivered %d values, want %d for %d partitions",
+				apierr.ErrBadConfig, len(all), stride*sc.nParts, sc.nParts)
+		}
+		means = make([]float64, sc.nParts)
+		if cells != nil {
+			cells = make([]int, sc.nParts)
+		}
+		seen := make([]bool, sc.nParts)
+		for i := 0; i < len(all); i += stride {
+			id := all[i]
+			if !(id >= 0 && id < float64(sc.nParts)) || id != math.Trunc(id) || seen[int(id)] {
+				return nil, nil, fmt.Errorf("core: %w: feature gather: bad or duplicate partition id %v", apierr.ErrBadConfig, id)
+			}
+			pi := int(id)
+			seen[pi] = true
+			means[pi] = all[i+1]
+			if cells != nil {
+				cells[pi] = int(all[i+2])
+			}
+		}
+	}
+	if sc.hc == nil {
+		return means, nil, nil
+	}
+	hc := *sc.hc
+	hc.BoundaryCells = cells
+	return means, &hc, nil
 }
 
 // PlanFromFeatures is Plan with the per-partition features already in hand
@@ -230,31 +332,11 @@ func (e *Engine) PlanFromFeatures(features []float64, cal *Calibration, opt Plan
 	return &Plan{EBs: res.EBs, Features: features, Rates: rates, AvgEB: opt.AvgEB, Predicted: *res}, nil
 }
 
-// extractFeatures computes the per-partition rate-model predictor:
-// mean |value| (see model.RateModel for why |·|). On cancellation the
-// returned slice is partially filled; callers must check ctx.Err().
-func (e *Engine) extractFeatures(ctx context.Context, f *grid.Field3D, p *grid.Partitioner) []float64 {
-	parts := p.Partitions()
-	out := make([]float64, len(parts))
-	e.forEachPartition(ctx, len(parts), func(i int, s *codec.Scratch) {
-		part := parts[i]
-		data := e.brick(s, f, part)
-		var sum float64
-		for _, v := range data {
-			if v < 0 {
-				sum -= float64(v)
-			} else {
-				sum += float64(v)
-			}
-		}
-		out[i] = sum / float64(len(data))
-	})
-	return out
-}
-
 // CompressedField is a field compressed partition-by-partition. Parts are
 // codec-tagged frames; mixed-codec fields decode fine, but every frame an
-// engine produces uses the engine's configured codec.
+// engine produces uses the engine's configured codec. One rank's share of a
+// multi-rank world (CompressOwned) carries frames only for the partitions
+// that rank owns; it becomes storable through ShardStepFields.
 type CompressedField struct {
 	Nx, Ny, Nz   int
 	PartitionDim int
@@ -268,6 +350,14 @@ type CompressedField struct {
 // Cancellation is checked between partitions, never mid-partition, so every
 // frame that was produced is complete and bit-exact.
 func (e *Engine) CompressAdaptive(ctx context.Context, f *grid.Field3D, plan *Plan) (*CompressedField, error) {
+	return e.CompressOwned(ctx, f, plan, nil)
+}
+
+// CompressOwned is CompressAdaptive restricted to the listed partitions
+// (ascending IDs; nil means every partition): one rank's share of a field
+// whose plan every rank computed from the same gathered features. The
+// frames are the ones CompressAdaptive produces for those partitions.
+func (e *Engine) CompressOwned(ctx context.Context, f *grid.Field3D, plan *Plan, owned []int) (*CompressedField, error) {
 	p, err := e.partitioner(f)
 	if err != nil {
 		return nil, err
@@ -276,11 +366,16 @@ func (e *Engine) CompressAdaptive(ctx context.Context, f *grid.Field3D, plan *Pl
 		return nil, fmt.Errorf("core: %w: plan has %d bounds for %d partitions",
 			apierr.ErrBadConfig, planLen(plan), p.Count())
 	}
+	for _, pi := range owned {
+		if pi < 0 || pi >= p.Count() {
+			return nil, fmt.Errorf("core: %w: owned partition %d outside [0,%d)", apierr.ErrBadConfig, pi, p.Count())
+		}
+	}
 	var rateOf func(int) float64
 	if len(plan.Rates) == len(plan.EBs) {
 		rateOf = func(i int) float64 { return plan.Rates[i] }
 	}
-	return e.compressWith(ctx, f, p, func(i int) float64 { return plan.EBs[i] }, rateOf)
+	return e.compressWith(ctx, f, p, owned, func(i int) float64 { return plan.EBs[i] }, rateOf)
 }
 
 // CompressStatic compresses every partition with the same bound — the
@@ -293,7 +388,7 @@ func (e *Engine) CompressStatic(ctx context.Context, f *grid.Field3D, eb float64
 	if err != nil {
 		return nil, err
 	}
-	return e.compressWith(ctx, f, p, func(int) float64 { return eb }, nil)
+	return e.compressWith(ctx, f, p, nil, func(int) float64 { return eb }, nil)
 }
 
 func planLen(p *Plan) int {
@@ -303,7 +398,9 @@ func planLen(p *Plan) int {
 	return len(p.EBs)
 }
 
-func (e *Engine) compressWith(ctx context.Context, f *grid.Field3D, p *grid.Partitioner, ebOf, rateOf func(int) float64) (*CompressedField, error) {
+// compressWith is the one loop that hands partitions to the codec: the
+// listed ones (nil = all), each at ebOf(partition ID).
+func (e *Engine) compressWith(ctx context.Context, f *grid.Field3D, p *grid.Partitioner, owned []int, ebOf, rateOf func(int) float64) (*CompressedField, error) {
 	parts := p.Partitions()
 	cf := &CompressedField{
 		Nx: f.Nx, Ny: f.Ny, Nz: f.Nz,
@@ -312,9 +409,17 @@ func (e *Engine) compressWith(ctx context.Context, f *grid.Field3D, p *grid.Part
 		Parts:        make([]codec.Frame, len(parts)),
 		partitioner:  p,
 	}
+	n := len(parts)
+	if owned != nil {
+		n = len(owned)
+	}
 	var firstErr error
 	var mu sync.Mutex
-	e.forEachPartition(ctx, len(parts), func(i int, s *codec.Scratch) {
+	e.forEachPartition(ctx, n, func(j int, s *codec.Scratch) {
+		i := j
+		if owned != nil {
+			i = owned[j]
+		}
 		part := parts[i]
 		data := e.brick(s, f, part)
 		nx, ny, nz := part.Dims()
@@ -421,11 +526,14 @@ func (cf *CompressedField) Decompress(ctx context.Context) (*grid.Field3D, error
 	return out, nil
 }
 
-// CompressedSize returns the total payload bytes.
+// CompressedSize returns the total payload bytes of the frames present
+// (all of them, except in one rank's share of a field).
 func (cf *CompressedField) CompressedSize() int {
 	var s int
 	for _, p := range cf.Parts {
-		s += p.CompressedSize()
+		if p != nil {
+			s += p.CompressedSize()
+		}
 	}
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/halo"
 	"repro/internal/nyx"
+	"repro/internal/optimizer"
 	"repro/internal/stats"
 )
 
@@ -322,8 +324,7 @@ func TestHaloBudgetAndPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hc := hb.Constraint()
-	plan, err := e.Plan(context.Background(), f, cal, PlanOptions{AvgEB: 0.5, Halo: &hc})
+	plan, err := e.Plan(context.Background(), f, cal, PlanOptions{AvgEB: 0.5, Halo: &hb.HaloConstraint})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,17 +398,21 @@ func TestCompressInSitu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Ranks != 8 || st.Collectives < 1 {
-		t.Errorf("stats: %+v", st)
+	if st.Ranks != 8 || st.Collectives != 1 {
+		t.Errorf("stats: %+v, want 8 ranks and the one feature gather", st)
 	}
 	if len(st.EBs) != 64 {
 		t.Fatalf("in situ assigned %d ebs", len(st.EBs))
 	}
-	// All bounds inside the clamp box.
+	// All bounds inside the clamp box, and the budget held exactly: the
+	// spectrum distortion depends only on mean(eb) (Eq. 10).
 	for i, eb := range st.EBs {
 		if eb < 0.1/4-1e-12 || eb > 0.4+1e-12 {
 			t.Fatalf("eb[%d] = %v outside box", i, eb)
 		}
+	}
+	if m := stats.MeanOf(st.EBs); math.Abs(m-0.1) > 1e-9*0.1 {
+		t.Errorf("mean(eb) = %v, want the budget 0.1", m)
 	}
 	recon, err := cf.Decompress(context.Background())
 	if err != nil {
@@ -418,8 +423,7 @@ func TestCompressInSitu(t *testing.T) {
 		t.Errorf("in situ max error %v beyond clamp cap", mx)
 	}
 
-	// The in situ result must agree with the offline path's ratio within
-	// a few percent (they differ only in the mean-preserving rescale).
+	// One planner: the in situ result is the offline path's, byte for byte.
 	plan, err := e.Plan(context.Background(), f, cal, PlanOptions{AvgEB: 0.1})
 	if err != nil {
 		t.Fatal(err)
@@ -428,39 +432,28 @@ func TestCompressInSitu(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := math.Abs(cf.Ratio()-offline.Ratio()) / offline.Ratio(); rel > 0.25 {
-		t.Errorf("in situ ratio %.2f far from offline %.2f", cf.Ratio(), offline.Ratio())
+	assertSameFrames(t, "8 ranks vs Plan+CompressAdaptive", cf, offline)
+}
+
+// assertSameFrames compares two compressed fields partition by partition.
+func assertSameFrames(t *testing.T, what string, got, want *CompressedField) {
+	t.Helper()
+	if len(got.Parts) != len(want.Parts) {
+		t.Fatalf("%s: %d partitions vs %d", what, len(got.Parts), len(want.Parts))
+	}
+	for i := range want.Parts {
+		a, b := codec.EncodeFrame(got.Parts[i]), codec.EncodeFrame(want.Parts[i])
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: partition %d differs (%d vs %d bytes)", what, i, len(a), len(b))
+		}
 	}
 }
 
+// TestCompressInSituRankInvariance: every world size — including more ranks
+// than GOMAXPROCS and a size that does not divide the partition count —
+// yields the frames of the one-rank world, with and without a halo budget
+// that bites.
 func TestCompressInSituRankInvariance(t *testing.T) {
-	e := engine(t, Config{PartitionDim: 16})
-	f := field(t, nyx.FieldTemperature)
-	cal, err := e.Calibrate(context.Background(), f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := f.MinMax()
-	avgEB := float64(hi-lo) * 1e-4
-	var ref []float64
-	for _, ranks := range []int{1, 4, 16} {
-		_, st, err := e.CompressInSitu(context.Background(), f, cal, InSituOptions{Ranks: ranks, AvgEB: avgEB})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = st.EBs
-			continue
-		}
-		for i := range ref {
-			if math.Abs(st.EBs[i]-ref[i]) > 1e-9*ref[i] {
-				t.Fatalf("ranks=%d: eb[%d] %v != %v", ranks, i, st.EBs[i], ref[i])
-			}
-		}
-	}
-}
-
-func TestCompressInSituHaloBudget(t *testing.T) {
 	e := engine(t, Config{PartitionDim: 16})
 	f := field(t, nyx.FieldBaryonDensity)
 	cal, err := e.Calibrate(context.Background(), f)
@@ -468,11 +461,37 @@ func TestCompressInSituHaloBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	bt, _ := nyx.DefaultHaloConfig()
+	for _, hc := range []*optimizer.HaloConstraint{nil, {TBoundary: bt, RefEB: 1.0, MassBudget: 1e-6}} {
+		var ref *CompressedField
+		var refStats *InSituStats
+		for _, ranks := range []int{1, 3, 4, 16, 64} {
+			cf, st, err := e.CompressInSitu(context.Background(), f, cal, InSituOptions{Ranks: ranks, AvgEB: 0.5, Halo: hc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref, refStats = cf, st
+				continue
+			}
+			assertSameFrames(t, fmt.Sprintf("halo=%v ranks=%d vs 1", hc != nil, ranks), cf, ref)
+			if st.HaloScale != refStats.HaloScale {
+				t.Fatalf("ranks=%d: halo scale %v != %v", ranks, st.HaloScale, refStats.HaloScale)
+			}
+		}
+	}
+}
+
+func TestCompressInSituUnderHaloBudget(t *testing.T) {
+	e := engine(t, Config{PartitionDim: 16})
+	f := field(t, nyx.FieldBaryonDensity)
+	cal, err := e.Calibrate(context.Background(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, pt := nyx.DefaultHaloConfig()
 	// An absurdly tight budget must force a visible downscale.
-	_, st, err := e.CompressInSitu(context.Background(), f, cal, InSituOptions{
-		Ranks: 4, AvgEB: 1.0,
-		Halo: &InSituHalo{TBoundary: bt, RefEB: 1.0, MassBudget: 1e-6},
-	})
+	tight := &optimizer.HaloConstraint{TBoundary: bt, RefEB: 1.0, MassBudget: 1e-6}
+	cf, st, err := e.CompressInSitu(context.Background(), f, cal, InSituOptions{Ranks: 4, AvgEB: 1.0, Halo: tight})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,6 +501,23 @@ func TestCompressInSituHaloBudget(t *testing.T) {
 	if st.HaloScale <= 0 {
 		t.Fatalf("invalid halo scale %v", st.HaloScale)
 	}
+	// The scan's boundary cells are HaloBudget's: planning offline from the
+	// derived constraint gives the same bytes.
+	p, _ := grid.PartitionerForBrickDim(64, 16)
+	hb, err := HaloBudget(f, halo.Config{BoundaryThreshold: bt, HaloThreshold: pt, Periodic: true}, 0.01, 1.0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb.MassBudget = tight.MassBudget
+	plan, err := e.Plan(context.Background(), f, cal, PlanOptions{AvgEB: 1.0, Halo: &hb.HaloConstraint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline, err := e.CompressAdaptive(context.Background(), f, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameFrames(t, "halo: 4 ranks vs Plan+CompressAdaptive", cf, offline)
 }
 
 func TestSuggestStaticEB(t *testing.T) {
@@ -491,8 +527,10 @@ func TestSuggestStaticEB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := grid.PartitionerForBrickDim(64, 16)
-	features := e.extractFeatures(context.Background(), f, p)
+	features, err := e.Features(context.Background(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	target := 2.0 // bits/value
 	eb, err := cal.SuggestStaticEB(features, target)
 	if err != nil {

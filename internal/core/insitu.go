@@ -2,50 +2,41 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sort"
+	"sync"
 	"time"
 
-	"repro/internal/apierr"
-	"repro/internal/codec"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/optimizer"
 )
 
 // In situ path (paper Secs. 3.6, 4.3). Each MPI rank owns a set of
-// partitions; the full protocol per snapshot is:
+// partitions; the protocol per field and snapshot is:
 //
-//  1. every rank extracts its partitions' features (mean |value|, and for
-//     density fields the boundary-cell count);
-//  2. one collective produces the global mean feature → the anchor C_a;
-//  3. every rank computes its partitions' error bounds locally
-//     (eb_m = ebAvg·(C_m/C_a)^γ, clamped to [ebAvg/4, 4·ebAvg] — the in
-//     situ path uses the paper's static clamp without the global
-//     mean-preserving rescale, which would need a second collective);
-//  4. for density fields one more collective sums the predicted mass fault
-//     and a shared downscale enforces the halo budget (Eq. 11);
-//  5. every rank compresses its partitions.
+//  1. every rank scans the partitions it owns, in place (ScanOwned: mean
+//     |value| and, for a density field with a halo budget, the
+//     boundary-cell count);
+//  2. one allgather of (partition ID, mean[, cells]) tuples hands every
+//     rank the full per-partition feature vector, in partition-ID order
+//     (FeatureScan.Gather);
+//  3. every rank runs the same planner on that vector
+//     (Engine.PlanFromFeatures → optimizer.Allocate: eb_m ∝ (C_m/C_a)^γ
+//     clamped to [ebAvg/k, k·ebAvg] and rescaled so that mean(eb) = ebAvg
+//     exactly — Eq. 10 makes the spectrum distortion a function of that
+//     mean alone — then the halo-budget downscale of Eq. 11);
+//  4. every rank compresses the partitions it owns at their planned bounds
+//     (CompressOwned).
 //
-// Reductions are evaluated in ascending *partition* order, not rank order:
-// each rank gathers (partitionID, value) pairs and every rank folds the
-// same ID-ordered sequence. That makes the global sums — and therefore
-// every error bound and every compressed byte — invariant not only to
-// scheduling but to the rank count and to which rank owns which partition,
-// which is what lets a post-failure rebalanced run reproduce the healthy
-// run's archive bit-for-bit.
-//
-// The per-phase wall times are recorded so the Sec. 4.3 overhead experiment
-// can report feature-extraction and optimization cost relative to
-// compression cost.
-
-// InSituHalo carries the halo budget for the in situ path.
-type InSituHalo struct {
-	TBoundary  float64
-	RefEB      float64
-	MassBudget float64
-}
+// The paper gathers only the global mean (one MPI_Allreduce) and evaluates
+// step 3 per partition; gathering the vector costs the same one collective
+// and lets the ranks run the mean-preserving rescale, which needs every
+// partition's raw bound. Because the vector is ordered by partition ID, not
+// by rank, the plan — and therefore every compressed byte — is invariant to
+// scheduling, to the rank count and to which rank owns which partition: a
+// one-rank world (nil communicator, no collective) is the degenerate case,
+// and a post-failure rebalanced run reproduces the healthy run's archive
+// bit for bit.
 
 // InSituOptions configures one in situ compression.
 type InSituOptions struct {
@@ -54,14 +45,17 @@ type InSituOptions struct {
 	Ranks int
 	// AvgEB is the quality budget.
 	AvgEB float64
-	// Halo optionally enforces the halo-mass budget.
-	Halo *InSituHalo
+	// Halo optionally enforces the halo-mass budget. Its BoundaryCells are
+	// measured by the feature scan.
+	Halo *optimizer.HaloConstraint
 }
 
 // InSituStats reports what happened inside the ranks.
 type InSituStats struct {
 	Ranks int
-	// Critical-path (max over ranks) wall times per phase.
+	// Critical-path (max over ranks) wall times per phase, each timed on
+	// its rank around the phase's own work: time spent waiting in the
+	// gather belongs to no phase.
 	FeatureSeconds  float64
 	OptimizeSeconds float64
 	CompressSeconds float64
@@ -82,309 +76,100 @@ func (s *InSituStats) FeatureOverhead() float64 {
 	return (s.FeatureSeconds + s.OptimizeSeconds) / s.CompressSeconds
 }
 
-// NumPartitions reports how many partitions the engine's configured brick
-// dimension tiles the field into — the unit of distribution for the
-// sharded in situ path.
-func (e *Engine) NumPartitions(f *grid.Field3D) (int, error) {
-	p, err := e.partitioner(f)
-	if err != nil {
-		return 0, err
-	}
-	return p.Count(), nil
-}
-
-// AssignPartitions deterministically shards nParts partitions across the
-// alive ranks: partition i goes to alive[i mod len(alive)] (alive sorted
-// ascending first). With all ranks alive this is the familiar round-robin
-// by rank; after a failure the survivors' shares are recomputed from the
-// same rule, so every rank derives the identical assignment with no
-// negotiation. Returns the owned partition IDs (ascending) per rank.
-func AssignPartitions(nParts int, alive []int) map[int][]int {
-	ranks := append([]int(nil), alive...)
-	sort.Ints(ranks)
-	owned := make(map[int][]int, len(ranks))
-	for _, r := range ranks {
-		owned[r] = nil
-	}
-	if len(ranks) == 0 {
-		return owned
-	}
-	for i := 0; i < nParts; i++ {
-		r := ranks[i%len(ranks)]
-		owned[r] = append(owned[r], i)
-	}
-	return owned
-}
-
-// RankShard is one rank's share of an in situ compression: the partitions
-// it owned, the error bounds it assigned them, and the frames it produced,
-// all parallel to Owned (ascending partition IDs).
+// RankShard is one rank's share of an in situ compression.
 type RankShard struct {
-	Owned  []int
-	EBs    []float64
-	Frames []codec.Frame
-	// HaloScale is the shared downscale applied by the halo budget
-	// (1 = none); identical on every rank.
-	HaloScale float64
-	// Per-phase wall times on this rank.
-	FeatureSeconds  float64
-	OptimizeSeconds float64
-	CompressSeconds float64
+	// Field carries the frames of the partitions this rank owns.
+	Field *CompressedField
+	// Plan is the field-wide plan, identical on every rank.
+	Plan *Plan
+	// Per-phase wall times on this rank (see InSituStats).
+	FeatureSeconds, OptimizeSeconds, CompressSeconds float64
 }
 
-// CompressInSituRank runs one rank's side of the in situ protocol over an
-// explicit communicator: feature extraction for the owned partitions, the
-// ID-ordered global-mean collective, local error-bound optimization, the
-// optional halo-budget collective, and compression of the owned
-// partitions. The same function serves the in-process world (mpi.Run) and
-// the TCP transport (internal/mpinet) — the communicator is the only
-// difference.
+// CompressInSituRank runs one rank's side of the protocol with a fixed
+// calibration: scan, gather, plan, compress the owned partitions. The same
+// function serves the in-process world (mpi.Run) and the TCP transport
+// (internal/mpinet) — the communicator is the only difference. The
+// streaming driver (internal/pipeline) makes the same four calls with its
+// drift check and recalibration between the gather and the plan.
 //
 // Collective failures (a dead peer rank) surface as the transport's typed
 // *apierr.RankFailedError; the caller owns retry/rebalance policy.
-func (e *Engine) CompressInSituRank(ctx context.Context, c *mpi.Comm, f *grid.Field3D, cal *Calibration, opt InSituOptions, owned []int) (*RankShard, error) {
-	if cal == nil || cal.Model == nil {
-		return nil, fmt.Errorf("core: %w: nil calibration", apierr.ErrBadConfig)
-	}
-	if opt.AvgEB <= 0 {
-		return nil, fmt.Errorf("core: %w: AvgEB must be positive", apierr.ErrBadConfig)
-	}
-	p, err := e.partitioner(f)
+func (e *Engine) CompressInSituRank(ctx context.Context, c *mpi.Comm, f *grid.Field3D, cal *Calibration, opt InSituOptions) (*RankShard, error) {
+	owned, err := e.OwnedPartitions(c, f)
 	if err != nil {
 		return nil, err
 	}
-	parts := p.Partitions()
-	nParts := len(parts)
-	for _, pi := range owned {
-		if pi < 0 || pi >= nParts {
-			return nil, fmt.Errorf("core: %w: owned partition %d outside [0,%d)", apierr.ErrBadConfig, pi, nParts)
-		}
-	}
-
-	rm := cal.Model
-	gamma := optimizer.AllocationExponent(rm.Exponent, e.cfg.Strategy)
-	lo := opt.AvgEB / e.cfg.ClampFactor
-	hi := opt.AvgEB * e.cfg.ClampFactor
-
-	sh := &RankShard{Owned: owned, HaloScale: 1}
-
-	// Phase 1: feature extraction. The rank scans its own sub-volume in
-	// place (no brick copy — the simulation already owns the data) and
-	// accumulates mean |value| and the threshold-band count in a single
-	// fused pass, which is exactly the paper's in situ cost.
-	if err := c.Barrier(); err != nil { // align phase starts so timers measure work, not skew
+	sh := &RankShard{}
+	t0 := time.Now()
+	scan, err := e.ScanOwned(ctx, f, owned, opt.Halo)
+	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	feats := make([]float64, len(owned))
-	bcells := make([]float64, len(owned))
-	scratch := e.getScratch()
-	defer e.putScratch(scratch)
-	for j, pi := range owned {
-		part := parts[pi]
-		var s float64
-		n := 0
-		var bandLo, bandHi float32
-		if opt.Halo != nil {
-			bandLo = float32(opt.Halo.TBoundary - opt.Halo.RefEB)
-			bandHi = float32(opt.Halo.TBoundary + opt.Halo.RefEB)
-		}
-		for z := part.Z0; z < part.Z1; z++ {
-			for y := part.Y0; y < part.Y1; y++ {
-				base := f.Index(part.X0, y, z)
-				row := f.Data[base : base+part.X1-part.X0]
-				for _, v := range row {
-					if v < 0 {
-						s -= float64(v)
-					} else {
-						s += float64(v)
-					}
-					if opt.Halo != nil && v >= bandLo && v < bandHi {
-						n++
-					}
-				}
-			}
-		}
-		feats[j] = s / float64(part.Len())
-		bcells[j] = float64(n)
-	}
 	sh.FeatureSeconds = time.Since(t0).Seconds()
-
-	// Phase 2: the global mean feature via one ID-ordered collective,
-	// local error-bound computation, optional halo collective.
-	if err := c.Barrier(); err != nil {
+	features, halo, err := scan.Gather(c)
+	if err != nil {
 		return nil, err
 	}
 	t1 := time.Now()
-	globalSum, err := reduceByPartition(c, nParts, owned, feats)
+	sh.Plan, err = e.PlanFromFeatures(features, cal, PlanOptions{AvgEB: opt.AvgEB, Halo: halo})
 	if err != nil {
 		return nil, err
 	}
-	globalMean := globalSum / float64(nParts)
-	ca := rm.Cm(globalMean)
-	myEBs := make([]float64, len(owned))
-	for j := range owned {
-		eb := opt.AvgEB * math.Pow(rm.Cm(feats[j])/ca, gamma)
-		if eb < lo {
-			eb = lo
-		}
-		if eb > hi {
-			eb = hi
-		}
-		myEBs[j] = eb
-	}
-	if opt.Halo != nil {
-		faults := make([]float64, len(owned))
-		for j := range owned {
-			nbc := bcells[j] * myEBs[j] / opt.Halo.RefEB
-			faults[j] = nbc / 4
-		}
-		faultSum, err := reduceByPartition(c, nParts, owned, faults)
-		if err != nil {
-			return nil, err
-		}
-		est := opt.Halo.TBoundary * faultSum
-		if est > opt.Halo.MassBudget && est > 0 {
-			sh.HaloScale = opt.Halo.MassBudget / est
-			for j := range myEBs {
-				myEBs[j] *= sh.HaloScale
-			}
-		}
-	}
-	sh.EBs = myEBs
 	sh.OptimizeSeconds = time.Since(t1).Seconds()
-
-	// Phase 3: compression of owned partitions.
-	if err := c.Barrier(); err != nil {
-		return nil, err
-	}
 	t2 := time.Now()
-	sh.Frames = make([]codec.Frame, len(owned))
-	for j, pi := range owned {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: in situ compression: %w", err)
-		}
-		part := parts[pi]
-		data := e.brick(scratch, f, part)
-		nx, ny, nz := part.Dims()
-		cc, err := e.cdc.Compress(data, nx, ny, nz, e.codecOptions(myEBs[j]), scratch)
-		if err != nil {
-			return nil, fmt.Errorf("core: rank %d partition %d: %w", c.Rank(), pi, err)
-		}
-		sh.Frames[j] = cc
+	sh.Field, err = e.CompressOwned(ctx, f, sh.Plan, owned)
+	if err != nil {
+		return nil, err
 	}
 	sh.CompressSeconds = time.Since(t2).Seconds()
 	return sh, nil
 }
 
-// reduceByPartition sums one contribution per owned partition across all
-// ranks, folding in ascending partition-ID order so the float64 result is
-// identical for every rank layout. Implemented as an allgather of
-// (partitionID, value) pairs followed by the same deterministic local
-// fold on every rank.
-func reduceByPartition(c *mpi.Comm, nParts int, owned []int, vals []float64) (float64, error) {
-	pairs := make([]float64, 0, 2*len(owned))
-	for j, pi := range owned {
-		pairs = append(pairs, float64(pi), vals[j])
-	}
-	all, err := c.AllgatherSlice(pairs)
-	if err != nil {
-		return 0, err
-	}
-	if len(all)%2 != 0 || len(all)/2 != nParts {
-		return 0, fmt.Errorf("core: partition reduce gathered %d pairs, want %d", len(all)/2, nParts)
-	}
-	byID := make([]float64, nParts)
-	seen := make([]bool, nParts)
-	for i := 0; i < len(all); i += 2 {
-		id := int(all[i])
-		if id < 0 || id >= nParts || seen[id] {
-			return 0, fmt.Errorf("core: partition reduce: bad or duplicate partition id %v", all[i])
-		}
-		seen[id] = true
-		byID[id] = all[i+1]
-	}
-	var sum float64
-	for _, v := range byID {
-		sum += v
-	}
-	return sum, nil
-}
-
-// CompressInSitu runs the full in situ protocol over the simulated MPI
-// runtime and returns the adaptively compressed field. Cancellation is
-// checked between partitions inside each rank's compression loop.
+// CompressInSitu runs the protocol over an in-process world of opt.Ranks
+// simulated ranks and returns the adaptively compressed field — the same
+// bytes Plan + CompressAdaptive give for the same calibration and budget,
+// at any rank count. Cancellation is checked between partitions inside each
+// rank's loops.
 func (e *Engine) CompressInSitu(ctx context.Context, f *grid.Field3D, cal *Calibration, opt InSituOptions) (*CompressedField, *InSituStats, error) {
-	if cal == nil || cal.Model == nil {
-		return nil, nil, fmt.Errorf("core: %w: nil calibration", apierr.ErrBadConfig)
-	}
-	if opt.AvgEB <= 0 {
-		return nil, nil, fmt.Errorf("core: %w: AvgEB must be positive", apierr.ErrBadConfig)
-	}
 	p, err := e.partitioner(f)
 	if err != nil {
 		return nil, nil, err
 	}
-	nParts := p.Count()
 	ranks := opt.Ranks
 	if ranks <= 0 {
-		ranks = nParts
-		if ranks > 64 {
-			ranks = 64
-		}
+		ranks = min(p.Count(), 64)
 	}
-	if ranks > nParts {
-		ranks = nParts
-	}
+	ranks = min(ranks, p.Count())
 
-	alive := make([]int, ranks)
-	for r := range alive {
-		alive[r] = r
-	}
-	assign := AssignPartitions(nParts, alive)
-
-	ebs := make([]float64, nParts)
-	compressed := make([]codec.Frame, nParts)
-	shards := make([]*RankShard, ranks)
-	var collectives int64
-
+	var cf *CompressedField
+	st := &InSituStats{Ranks: ranks}
+	var mu sync.Mutex // guards cf and st
 	runErr := mpi.Run(ranks, func(c *mpi.Comm) error {
-		rank := c.Rank()
-		sh, err := e.CompressInSituRank(ctx, c, f, cal, opt, assign[rank])
+		sh, err := e.CompressInSituRank(ctx, c, f, cal, opt)
 		if err != nil {
 			return err
 		}
-		shards[rank] = sh
-		for j, pi := range sh.Owned {
-			ebs[pi] = sh.EBs[j]
-			compressed[pi] = sh.Frames[j]
+		mu.Lock()
+		defer mu.Unlock()
+		if cf == nil {
+			cf = sh.Field
+			st.EBs = sh.Plan.EBs
+			st.HaloScale = sh.Plan.Predicted.HaloScale
+			st.Collectives, _ = c.Stats()
 		}
-		if rank == 0 {
-			collectives, _ = c.Stats()
+		for pi, fr := range sh.Field.Parts {
+			if fr != nil {
+				cf.Parts[pi] = fr
+			}
 		}
+		st.FeatureSeconds = math.Max(st.FeatureSeconds, sh.FeatureSeconds)
+		st.OptimizeSeconds = math.Max(st.OptimizeSeconds, sh.OptimizeSeconds)
+		st.CompressSeconds = math.Max(st.CompressSeconds, sh.CompressSeconds)
 		return nil
 	})
 	if runErr != nil {
 		return nil, nil, runErr
-	}
-
-	cf := &CompressedField{
-		Nx: f.Nx, Ny: f.Ny, Nz: f.Nz,
-		PartitionDim: e.cfg.PartitionDim,
-		Codec:        e.cfg.Codec,
-		Parts:        compressed,
-		partitioner:  p,
-	}
-	st := &InSituStats{
-		Ranks:       ranks,
-		Collectives: collectives,
-		EBs:         ebs,
-		HaloScale:   shards[0].HaloScale,
-	}
-	for _, sh := range shards {
-		st.FeatureSeconds = math.Max(st.FeatureSeconds, sh.FeatureSeconds)
-		st.OptimizeSeconds = math.Max(st.OptimizeSeconds, sh.OptimizeSeconds)
-		st.CompressSeconds = math.Max(st.CompressSeconds, sh.CompressSeconds)
 	}
 	return cf, st, nil
 }

@@ -9,9 +9,12 @@ import (
 
 	"repro/internal/apierr"
 	"repro/internal/codec"
+	"repro/internal/grid"
+	"repro/internal/mpi"
 )
 
-// Shard archives: how a distributed run persists its output.
+// Shards: how a distributed run divides a field among its ranks
+// (AssignPartitions) and persists its output.
 //
 // Each rank streams the partitions it owns into its own, completely
 // standard v3 stream — no new container format. A partition's frame is
@@ -23,12 +26,56 @@ import (
 // free.
 //
 // MergeShards reassembles the per-rank shards into the plain stream a
-// single-process run would have written. Because error bounds come from
-// partition-ID-ordered reductions (invariant to rank count and ownership)
-// and the merge orders partitions by ID, the merged archive is
+// single-process run would have written. Because every rank plans on the
+// same gathered, partition-ID-ordered feature vector (invariant to rank
+// count and ownership) and the merge orders partitions by ID, the merged
+// archive is
 // byte-identical to the single-process golden — even when a rank died
 // mid-run, its partitions were rebalanced, and its torn shard contains a
 // stale copy of the retried step.
+
+// AssignPartitions deterministically shards nParts partitions across the
+// alive ranks: partition i goes to alive[i mod len(alive)] (alive sorted
+// ascending first). With all ranks alive this is the familiar round-robin
+// by rank; after a failure the survivors' shares are recomputed from the
+// same rule, so every rank derives the identical assignment with no
+// negotiation. Returns the owned partition IDs (ascending) per rank.
+func AssignPartitions(nParts int, alive []int) map[int][]int {
+	ranks := append([]int(nil), alive...)
+	sort.Ints(ranks)
+	owned := make(map[int][]int, len(ranks))
+	for _, r := range ranks {
+		owned[r] = nil
+	}
+	if len(ranks) == 0 {
+		return owned
+	}
+	for i := 0; i < nParts; i++ {
+		r := ranks[i%len(ranks)]
+		owned[r] = append(owned[r], i)
+	}
+	return owned
+}
+
+// OwnedPartitions returns the partitions of f this rank owns under
+// AssignPartitions over the communicator's alive set. A nil communicator is
+// the one-rank world: it owns every partition, reported as nil (the form
+// ScanOwned and CompressOwned read as "all").
+func (e *Engine) OwnedPartitions(c *mpi.Comm, f *grid.Field3D) ([]int, error) {
+	if c == nil {
+		return nil, nil
+	}
+	p, err := e.partitioner(f)
+	if err != nil {
+		return nil, err
+	}
+	alive := c.Alive()
+	if p.Count() < len(alive) {
+		return nil, fmt.Errorf("core: %w: field %s has %d partitions for %d ranks — every rank must own at least one",
+			apierr.ErrBadConfig, f, p.Count(), len(alive))
+	}
+	return AssignPartitions(p.Count(), alive)[c.Rank()], nil
+}
 
 // shardNameSep separates the real field name from the partition suffix in
 // a shard pseudo-field name. The unit separator cannot appear in sane
@@ -54,26 +101,27 @@ func ParseShardFieldName(name string) (field string, part int, ok bool) {
 	return name[:i], p, true
 }
 
-// ShardStepFields converts one rank's shard of a field into the pseudo-
-// field map its shard stream stores for this step: one single-partition
-// CompressedField per owned partition. Merge these maps across fields
-// before calling StreamWriter.WriteStep when a step carries several
-// fields.
-func ShardStepFields(field string, nx, ny, nz, partitionDim int, sh *RankShard) (map[string]*CompressedField, error) {
-	if strings.Contains(field, shardNameSep) {
-		return nil, fmt.Errorf("core: %w: field name %q contains the shard separator", apierr.ErrBadConfig, field)
-	}
-	if len(sh.Frames) != len(sh.Owned) {
-		return nil, fmt.Errorf("core: %w: shard has %d frames for %d partitions", apierr.ErrBadConfig, len(sh.Frames), len(sh.Owned))
-	}
-	out := make(map[string]*CompressedField, len(sh.Owned))
-	for j, pi := range sh.Owned {
-		fr := sh.Frames[j]
-		out[ShardFieldName(field, pi)] = &CompressedField{
-			Nx: nx, Ny: ny, Nz: nz,
-			PartitionDim: partitionDim,
-			Codec:        fr.CodecID(),
-			Parts:        []codec.Frame{fr},
+// ShardStepFields converts one rank's shares of a step's fields
+// (CompressOwned: each carries frames for the partitions the rank owns, nil
+// elsewhere) into the block its shard stream stores for the step
+// (StreamWriter.WriteStep): one single-partition CompressedField per frame
+// present, under its pseudo-field name.
+func ShardStepFields(shares map[string]*CompressedField) (map[string]*CompressedField, error) {
+	out := make(map[string]*CompressedField)
+	for field, cf := range shares {
+		if strings.Contains(field, shardNameSep) {
+			return nil, fmt.Errorf("core: %w: field name %q contains the shard separator", apierr.ErrBadConfig, field)
+		}
+		for pi, fr := range cf.Parts {
+			if fr == nil {
+				continue
+			}
+			out[ShardFieldName(field, pi)] = &CompressedField{
+				Nx: cf.Nx, Ny: cf.Ny, Nz: cf.Nz,
+				PartitionDim: cf.PartitionDim,
+				Codec:        fr.CodecID(),
+				Parts:        []codec.Frame{fr},
+			}
 		}
 	}
 	return out, nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/apierr"
+	"repro/internal/codec"
 	"repro/internal/grid"
 )
 
@@ -94,6 +95,20 @@ func shardFixture(t *testing.T, nSteps int) (golden []byte, steps []map[string]*
 	return buf.Bytes(), steps, nParts
 }
 
+// shares is the part of a step a rank owning the listed partitions holds.
+func shares(step map[string]*CompressedField, owned []int) map[string]*CompressedField {
+	out := make(map[string]*CompressedField, len(step))
+	for field, cf := range step {
+		sh := *cf
+		sh.Parts = make([]codec.Frame, len(cf.Parts))
+		for _, pi := range owned {
+			sh.Parts[pi] = cf.Parts[pi]
+		}
+		out[field] = &sh
+	}
+	return out
+}
+
 // writeShard writes one rank's shard stream covering `owned` partitions of
 // every field for steps [0, upto). Close is skipped when torn is set,
 // leaving a footerless stream like the one a killed rank leaves behind.
@@ -105,19 +120,9 @@ func writeShard(t *testing.T, steps []map[string]*CompressedField, owned []int, 
 		t.Fatal(err)
 	}
 	for s := 0; s < upto; s++ {
-		block := make(map[string]*CompressedField)
-		for field, cf := range steps[s] {
-			sh := &RankShard{Owned: owned}
-			for _, pi := range owned {
-				sh.Frames = append(sh.Frames, cf.Parts[pi])
-			}
-			m, err := ShardStepFields(field, cf.Nx, cf.Ny, cf.Nz, cf.PartitionDim, sh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, v := range m {
-				block[k] = v
-			}
+		block, err := ShardStepFields(shares(steps[s], owned))
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := sw.WriteStep(block); err != nil {
 			t.Fatal(err)
@@ -212,19 +217,9 @@ func rewriteShardWithExtraStep(t *testing.T, prefix []byte, steps []map[string]*
 			t.Fatal(err)
 		}
 	}
-	block := make(map[string]*CompressedField)
-	for field, cf := range steps[2] {
-		sh := &RankShard{Owned: owned}
-		for _, pi := range owned {
-			sh.Frames = append(sh.Frames, cf.Parts[pi])
-		}
-		m, err := ShardStepFields(field, cf.Nx, cf.Ny, cf.Nz, cf.PartitionDim, sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k, v := range m {
-			block[k] = v
-		}
+	block, err := ShardStepFields(shares(steps[2], owned))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := sw.WriteStep(block); err != nil {
 		t.Fatal(err)
@@ -295,13 +290,15 @@ func TestMergeShardsRejectsPlainFieldNames(t *testing.T) {
 	}
 }
 
-func TestShardStepFieldsRejectsBadInput(t *testing.T) {
-	cf := mustStatic(t, shardCube(0), 0.5)
-	if _, err := ShardStepFields("a\x1fb", 16, 16, 16, 8, &RankShard{Owned: []int{0}, Frames: cf.Parts[:1]}); !errors.Is(err, apierr.ErrBadConfig) {
-		t.Errorf("separator in field name: err = %v, want ErrBadConfig", err)
+func TestShardStepFields(t *testing.T) {
+	step := map[string]*CompressedField{"ok": mustStatic(t, shardCube(0), 0.5)}
+	m, err := ShardStepFields(shares(step, []int{1, 4}))
+	if err != nil || len(m) != 2 || m[ShardFieldName("ok", 1)] == nil || m[ShardFieldName("ok", 4)] == nil {
+		t.Errorf("share of partitions 1 and 4 became %d pseudo-fields (err %v)", len(m), err)
 	}
-	if _, err := ShardStepFields("ok", 16, 16, 16, 8, &RankShard{Owned: []int{0, 1}, Frames: cf.Parts[:1]}); !errors.Is(err, apierr.ErrBadConfig) {
-		t.Errorf("frame/partition mismatch: err = %v, want ErrBadConfig", err)
+	step["a\x1fb"] = step["ok"]
+	if _, err := ShardStepFields(step); !errors.Is(err, apierr.ErrBadConfig) {
+		t.Errorf("separator in field name: err = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -164,9 +164,11 @@ func Fig08FaultCellEstimate(ctx *Context) (*Result, error) {
 		return nil, err
 	}
 	const refEB = 1.0
-	fts := grid.ExtractFeatures(f, p, grid.FeatureOptions{
-		HaloThreshold: cfg.BoundaryThreshold, RefEB: refEB, Workers: ctx.Cfg.Workers,
-	})
+	band := grid.HaloBand(cfg.BoundaryThreshold, refEB)
+	cells := make([]int, p.Count())
+	for i, part := range p.Partitions() {
+		_, cells[i] = grid.Scan(f, part, band)
+	}
 	res := &Result{
 		ID:    "fig08",
 		Title: "Changed candidate cells: model estimate vs measured",
@@ -175,8 +177,11 @@ func Fig08FaultCellEstimate(ctx *Context) (*Result, error) {
 	thr := float32(cfg.BoundaryThreshold)
 	for _, eb := range []float64{0.25, 0.5, 1, 2, 4} {
 		var est float64
-		for _, ft := range fts {
-			est += model.FaultCells(ft.BoundaryCellsAt(eb))
+		for _, n := range cells {
+			// The paper's linear band scaling n_bc(eb) = n·eb/refEB (valid
+			// because the local value histogram is approximately flat
+			// across the narrow threshold band, Sec. 3.4).
+			est += model.FaultCells(float64(n) * eb / refEB)
 		}
 		recon, err := staticRecon(f, eb)
 		if err != nil {

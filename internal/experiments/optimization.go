@@ -227,8 +227,7 @@ func Fig15RatioAllFields(ctx *Context) (*Result, error) {
 				return nil, err
 			}
 			if hb.MassBudget > 0 {
-				hc := hb.Constraint()
-				planOpts.Halo = &hc
+				planOpts.Halo = &hb.HaloConstraint
 			}
 		}
 		var adaptive *core.CompressedField

@@ -128,16 +128,14 @@ func Fig14EffectiveCellHistogram(ctx *Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fts := grid.ExtractFeatures(f, p, grid.FeatureOptions{
-		HaloThreshold: cfg.BoundaryThreshold, RefEB: 1.0, Workers: ctx.Cfg.Workers,
-	})
+	band := grid.HaloBand(cfg.BoundaryThreshold, 1.0)
 	// Log-spaced occupancy histogram.
 	buckets := []int{0, 1, 3, 10, 30, 100, 300, 1000, 1 << 30}
 	counts := make([]int, len(buckets)-1)
 	nonzero := 0
 	var mom stats.Moments
-	for _, ft := range fts {
-		n := ft.BoundaryCells
+	for _, part := range p.Partitions() {
+		_, n := grid.Scan(f, part, band)
 		mom.Add(float64(n))
 		if n > 0 {
 			nonzero++
@@ -159,6 +157,6 @@ func Fig14EffectiveCellHistogram(ctx *Context) (*Result, error) {
 		res.AddRow(labels[i], fmt.Sprint(c))
 	}
 	res.Notef("%d of %d partitions contain boundary cells; mean %.1f, max %.0f — a dispersed histogram means feature budget can be traded between partitions (paper Fig. 14)",
-		nonzero, len(fts), mom.Mean(), mom.Max())
+		nonzero, p.Count(), mom.Mean(), mom.Max())
 	return res, nil
 }

@@ -1,121 +1,54 @@
 package grid
 
-import (
-	"runtime"
-	"sync"
+// Band is a half-open value interval [Lo, Hi). The zero value (and any band
+// with Hi ≤ Lo) is empty: Scan counts nothing and skips the comparison.
+type Band struct{ Lo, Hi float64 }
 
-	"repro/internal/stats"
-)
+// HaloBand is the threshold band [t−refEB, t+refEB) whose occupancy is n in
+// the paper's eb→cell function n_bc = n·eb (Fig. 14): the cells a
+// reconstruction error of refEB can push across the halo-finder boundary.
+func HaloBand(tBoundary, refEB float64) Band {
+	return Band{Lo: tBoundary - refEB, Hi: tBoundary + refEB}
+}
 
-// Features is the per-partition summary the adaptive configurator extracts
-// in situ (Sec. 3.5–3.6 of the paper). Collecting it is the *only* data
-// inspection the method needs before choosing error bounds, which is why
-// the paper's overhead is ~1 % of compression time:
+// Empty reports whether the band can contain no value.
+func (b Band) Empty() bool { return !(b.Hi > b.Lo) }
+
+// Scan is the per-partition feature scan the adaptive configurator runs in
+// situ (Sec. 3.5–3.6 of the paper) — the *only* data inspection the method
+// needs before choosing error bounds, which is why the paper's overhead is
+// ~1 % of compression time. It visits brick part of f in place (no brick
+// copy: the simulation already owns the data), x-fastest, and returns from a
+// single pass over memory
 //
-//   - Mean drives the rate-coefficient prediction C_m (Fig. 10a).
-//   - BoundaryCells is n in the eb→cell function n_bc = n·eb, the count of
-//     cells within ±refEB of the halo threshold (Fig. 14). It is only
-//     extracted for density fields that feed the halo finder.
-//   - Count is the partition size (needed by the FFT error model).
-type Features struct {
-	PartitionID   int
-	Count         int
-	Mean          float64
-	Min, Max      float64
-	BoundaryCells int     // cells with value in [t−refEB, t+refEB)
-	RefEB         float64 // the eb the boundary-cell count was taken at
-}
-
-// FeatureOptions controls extraction.
-type FeatureOptions struct {
-	// HaloThreshold is t_boundary; when > 0, boundary cells are counted.
-	HaloThreshold float64
-	// RefEB is the reference error bound for the boundary-cell band.
-	// The paper extracts once at eb = 1.0 and scales linearly afterwards.
-	RefEB float64
-	// Workers bounds the worker pool; 0 means GOMAXPROCS.
-	Workers int
-}
-
-// ExtractFeatures computes Features for every partition of f, in parallel.
-// The partition order of the result matches p.Partitions().
-func ExtractFeatures(f *Field3D, p *Partitioner, opt FeatureOptions) []Features {
-	parts := p.Partitions()
-	out := make([]Features, len(parts))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]float32, 0)
-			for i := range next {
-				part := parts[i]
-				if cap(buf) < part.Len() {
-					buf = make([]float32, part.Len())
-				}
-				buf = buf[:part.Len()]
-				ExtractInto(buf, f, part)
-				out[i] = extractOne(part, buf, opt)
-			}
-		}()
-	}
-	for i := range parts {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
-}
-
-func extractOne(part Partition, data []float32, opt FeatureOptions) Features {
-	var m stats.Moments
-	m.AddSlice(data)
-	ft := Features{
-		PartitionID: part.ID,
-		Count:       len(data),
-		Mean:        m.Mean(),
-		Min:         m.Min(),
-		Max:         m.Max(),
-		RefEB:       opt.RefEB,
-	}
-	if opt.HaloThreshold > 0 && opt.RefEB > 0 {
-		ft.BoundaryCells = stats.CountInBand(data,
-			opt.HaloThreshold-opt.RefEB, opt.HaloThreshold+opt.RefEB)
-	}
-	return ft
-}
-
-// BoundaryCellsAt scales a partition's reference boundary-cell count to a
-// different error bound using the paper's linear model n_bc(eb) = n·eb
-// (valid because the local value histogram is approximately flat across the
-// narrow threshold band, Sec. 3.4).
-func (ft Features) BoundaryCellsAt(eb float64) float64 {
-	if ft.RefEB <= 0 {
-		return 0
-	}
-	return float64(ft.BoundaryCells) * eb / ft.RefEB
-}
-
-// MeanOfMeans returns the average of the partition means weighted by cell
-// count; for equal-size partitions this equals the global mean the paper
-// gathers via MPI_Allreduce.
-func MeanOfMeans(fts []Features) float64 {
+//   - meanAbs, mean |value|, which drives the rate-coefficient prediction
+//     C_m (Fig. 10a; see model.RateModel for why |·|), and
+//   - inBand, the number of cells inside band — the halo boundary-cell count
+//     when band is HaloBand, 0 for an empty band.
+func Scan(f *Field3D, part Partition, band Band) (meanAbs float64, inBand int) {
+	nx := part.X1 - part.X0
+	counting := !band.Empty()
 	var sum float64
-	var n int
-	for _, ft := range fts {
-		sum += ft.Mean * float64(ft.Count)
-		n += ft.Count
+	for z := part.Z0; z < part.Z1; z++ {
+		for y := part.Y0; y < part.Y1; y++ {
+			base := f.Index(part.X0, y, z)
+			row := f.Data[base : base+nx]
+			for _, x := range row {
+				v := float64(x)
+				if v < 0 {
+					sum -= v
+				} else {
+					sum += v
+				}
+			}
+			if counting {
+				for _, x := range row {
+					if v := float64(x); v >= band.Lo && v < band.Hi {
+						inBand++
+					}
+				}
+			}
+		}
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return sum / float64(part.Len()), inBand
 }

@@ -220,41 +220,36 @@ func TestBrickField(t *testing.T) {
 	}
 }
 
-func TestExtractFeaturesMeans(t *testing.T) {
-	// Field where each octant has a distinct constant value.
+func TestScanMeans(t *testing.T) {
+	// Field where each octant has a distinct constant value, every other
+	// octant negative: the feature is mean |value|.
 	f := NewField3D(8, 8, 8)
 	p, _ := NewCubePartitioner(8, 2)
 	for _, part := range p.Partitions() {
+		v := float32(part.ID + 1)
+		if part.ID%2 == 1 {
+			v = -v
+		}
 		for z := part.Z0; z < part.Z1; z++ {
 			for y := part.Y0; y < part.Y1; y++ {
 				for x := part.X0; x < part.X1; x++ {
-					f.Set(x, y, z, float32(part.ID+1))
+					f.Set(x, y, z, v)
 				}
 			}
 		}
 	}
-	fts := ExtractFeatures(f, p, FeatureOptions{})
-	if len(fts) != 8 {
-		t.Fatalf("features count = %d", len(fts))
-	}
-	for i, ft := range fts {
-		if ft.PartitionID != i {
-			t.Errorf("feature %d has partition ID %d", i, ft.PartitionID)
+	for i, part := range p.Partitions() {
+		mean, inBand := Scan(f, part, Band{})
+		if math.Abs(mean-float64(i+1)) > 1e-6 {
+			t.Errorf("partition %d mean |value| = %v, want %d", i, mean, i+1)
 		}
-		if math.Abs(ft.Mean-float64(i+1)) > 1e-6 {
-			t.Errorf("partition %d mean = %v, want %d", i, ft.Mean, i+1)
+		if inBand != 0 {
+			t.Errorf("partition %d: empty band counted %d cells", i, inBand)
 		}
-		if ft.Count != 64 {
-			t.Errorf("partition %d count = %d", i, ft.Count)
-		}
-	}
-	// Weighted mean of means must equal the global mean.
-	if got, want := MeanOfMeans(fts), f.Mean(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("MeanOfMeans = %v, global mean = %v", got, want)
 	}
 }
 
-func TestExtractFeaturesBoundaryCells(t *testing.T) {
+func TestScanBoundaryCells(t *testing.T) {
 	f := NewField3D(4, 4, 4)
 	// 5 cells exactly at threshold, 3 just below band, 2 inside band above.
 	thr := 88.16
@@ -268,33 +263,42 @@ func TestExtractFeaturesBoundaryCells(t *testing.T) {
 		f.Data[i] = float32(thr + 0.5)
 	}
 	p, _ := NewCubePartitioner(4, 1)
-	fts := ExtractFeatures(f, p, FeatureOptions{HaloThreshold: thr, RefEB: 1.0})
-	if fts[0].BoundaryCells != 7 {
-		t.Errorf("boundary cells = %d, want 7", fts[0].BoundaryCells)
+	if _, n := Scan(f, p.Partition(0), HaloBand(thr, 1.0)); n != 7 {
+		t.Errorf("boundary cells = %d, want 7", n)
 	}
-	// Linear scaling of the band count.
-	if got := fts[0].BoundaryCellsAt(0.5); math.Abs(got-3.5) > 1e-12 {
-		t.Errorf("BoundaryCellsAt(0.5) = %v, want 3.5", got)
+	// The band is half-open: a cell exactly at the upper edge is outside.
+	f.Data[10] = float32(thr) + 1
+	if _, n := Scan(f, p.Partition(0), Band{Lo: thr - 1, Hi: float64(float32(thr) + 1)}); n != 7 {
+		t.Errorf("upper edge counted: %d cells, want 7", n)
 	}
-	// Without a threshold no boundary cells are counted.
-	fts = ExtractFeatures(f, p, FeatureOptions{})
-	if fts[0].BoundaryCells != 0 || fts[0].BoundaryCellsAt(1.0) != 0 {
-		t.Error("boundary cells counted without threshold")
+	// An inverted band is empty, like the zero value.
+	if _, n := Scan(f, p.Partition(0), Band{Lo: 1, Hi: -1}); n != 0 || !(Band{Lo: 1, Hi: -1}).Empty() {
+		t.Error("inverted band counted cells")
 	}
 }
 
-func TestExtractFeaturesMatchesSerial(t *testing.T) {
+// TestScanMatchesBrickCopy pins the in-place scan to the value a scan of the
+// extracted brick gives, bit for bit: the summation order is the brick's.
+func TestScanMatchesBrickCopy(t *testing.T) {
 	r := stats.NewRNG(99)
-	f := NewField3D(16, 16, 16)
+	f := NewField3D(16, 12, 20)
 	for i := range f.Data {
 		f.Data[i] = float32(r.NormFloat64() * 100)
 	}
-	p, _ := NewCubePartitioner(16, 4)
-	par := ExtractFeatures(f, p, FeatureOptions{Workers: 8})
-	ser := ExtractFeatures(f, p, FeatureOptions{Workers: 1})
-	for i := range par {
-		if par[i] != ser[i] {
-			t.Fatalf("partition %d: parallel %+v != serial %+v", i, par[i], ser[i])
+	p, _ := NewPartitioner(16, 12, 20, 4, 3, 5)
+	band := Band{Lo: -10, Hi: 25}
+	for _, part := range p.Partitions() {
+		var sum float64
+		data := Extract(f, part)
+		for _, v := range data {
+			sum += math.Abs(float64(v))
+		}
+		mean, inBand := Scan(f, part, band)
+		if mean != sum/float64(len(data)) {
+			t.Fatalf("%v: in-place mean %v != brick mean %v", part, mean, sum/float64(len(data)))
+		}
+		if want := stats.CountInBand(data, band.Lo, band.Hi); inBand != want {
+			t.Fatalf("%v: in-place band count %d != %d", part, inBand, want)
 		}
 	}
 }

@@ -168,7 +168,9 @@ func (t *Transport) heartbeatLoop() {
 // readLoop dispatches every coordinator frame. Losing the coordinator —
 // read error, or silence past the heartbeat timeout — is terminal: this
 // transport cannot rebuild the star's center, so every pending and future
-// call fails with a typed error naming rank 0 (the coordinator's owner).
+// call fails with a typed error naming rank 0 (the coordinator's owner) and
+// carrying apierr.ErrCoordinatorLost, which is what tells it apart from a
+// live coordinator's notice that rank 0's own transport died.
 func (t *Transport) readLoop() {
 	defer t.wg.Done()
 	for {
@@ -182,7 +184,7 @@ func (t *Transport) readLoop() {
 				t.terminal = &apierr.RankFailedError{
 					Rank:  0,
 					Epoch: t.epoch,
-					Err:   fmt.Errorf("mpinet: coordinator lost: %w", err),
+					Err:   fmt.Errorf("mpinet: %w: %w", apierr.ErrCoordinatorLost, err),
 				}
 				if t.waiter != nil {
 					t.waiter <- waitResult{err: t.terminal}

@@ -118,10 +118,10 @@ func TestHeavyTailAndHeterogeneity(t *testing.T) {
 		t.Errorf("density max %v: no dense regions formed", hi)
 	}
 	p, _ := grid.NewCubePartitioner(48, 4)
-	fts := grid.ExtractFeatures(f, p, grid.FeatureOptions{})
 	var means []float64
-	for _, ft := range fts {
-		means = append(means, ft.Mean)
+	for _, part := range p.Partitions() {
+		mean, _ := grid.Scan(f, part, grid.Band{})
+		means = append(means, mean)
 	}
 	var m stats.Moments
 	for _, v := range means {

@@ -148,11 +148,6 @@ func allocationExponent(c float64, s Strategy) float64 {
 	}
 }
 
-// AllocationExponent exposes the strategy exponent γ for callers that
-// evaluate eb_m = ebAvg·(C_m/C_a)^γ rank-locally (the in situ path, which
-// cannot run the global mean-preserving rescale).
-func AllocationExponent(c float64, s Strategy) float64 { return allocationExponent(c, s) }
-
 // clampToMean scales raw bounds by a global factor s and clamps them to
 // [avg/k, k·avg] such that the clamped mean equals avg exactly (within
 // bisection tolerance). mean(clamp(s·raw)) is nondecreasing in s, so a
@@ -198,7 +193,10 @@ type HaloConstraint struct {
 	TBoundary float64
 	// RefEB is the error bound the boundary-cell counts were measured at.
 	RefEB float64
-	// BoundaryCells is the per-partition count at RefEB.
+	// BoundaryCells is the per-partition count of cells within ±RefEB of
+	// TBoundary. The step paths (in situ, distributed ranks) measure it in
+	// each step's feature scan and do not read a supplied slice; one-shot
+	// planning takes it from core.HaloBudget.
 	BoundaryCells []int
 	// MassBudget is the admissible total absolute halo-mass distortion.
 	MassBudget float64

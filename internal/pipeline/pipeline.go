@@ -7,6 +7,17 @@
 // gathers with one Allreduce) triggers recalibration only when the data
 // distribution actually moves.
 //
+// There is one step driver. A step is: scan the partitions this rank owns →
+// one partition-ID-ordered gather of the features → drift check and, when
+// due, (re)calibration → one plan on the full feature vector
+// (core.Engine.PlanFromFeatures, the only place error bounds are computed)
+// → compress the owned partitions → sum the observed bytes across ranks so
+// the model-residual tracking is rank-invariant. A Driver built by New owns
+// every partition and exchanges nothing — the one-rank world is the
+// degenerate case; RunRank (rank.go) runs the same Driver on one rank of
+// many and adds only what is its own: shard writer, commit barrier,
+// rollback and retry.
+//
 // Typical use:
 //
 //	drv, _ := pipeline.New(core.Config{PartitionDim: 16}, pipeline.Options{
@@ -33,6 +44,8 @@ import (
 	"repro/internal/apierr"
 	"repro/internal/core"
 	"repro/internal/grid"
+	"repro/internal/mpi"
+	"repro/internal/optimizer"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 )
@@ -104,6 +117,15 @@ type Options struct {
 	Writer *core.StreamWriter
 	// OnStep, when set, observes each step's stats as the run progresses.
 	OnStep func(*StepStats)
+}
+
+// budget resolves a field's quality budget from the global mean |value| of
+// its first step: the field's absolute entry, else RelAvgEB × mean.
+func (o Options) budget(name string, mean float64) (float64, error) {
+	if eb, ok := o.AvgEBs[name]; ok {
+		return eb, nil
+	}
+	return o.RelAvgEB * mean, nil
 }
 
 func (o Options) withDefaults() Options {
@@ -291,6 +313,9 @@ type StepResult struct {
 	// Errs maps each failed field to its error. A field absent from both
 	// maps was never started (the step was canceled first).
 	Errs map[string]error
+	// next holds each succeeded field's calibration state after this step,
+	// staged until the step commits (Driver.commit).
+	next map[string]*fieldState
 }
 
 // firstErr returns the first failed field's error in name order (stable
@@ -356,6 +381,17 @@ type Driver struct {
 	eng *core.Engine
 	opt Options
 
+	// comm is nil for a one-rank world, which owns every partition and
+	// exchanges nothing. On one rank of many, every rank holds the same
+	// state for every field, because every decision below is taken on
+	// gathered, rank-invariant quantities.
+	comm *mpi.Comm
+	// halo holds the per-field halo-mass budgets (RankConfig.Halo).
+	halo map[string]*optimizer.HaloConstraint
+	// budget resolves a field's budget at its first step, from the gathered
+	// global mean: Options.budget for New, RankConfig.budget for RunRank.
+	budget func(name string, mean float64) (float64, error)
+
 	mu    sync.Mutex
 	state map[string]*fieldState
 }
@@ -371,11 +407,25 @@ func New(engCfg core.Config, opt Options) (*Driver, error) {
 
 // NewWithEngine wraps an existing engine (shared scratch pools included).
 func NewWithEngine(eng *core.Engine, opt Options) (*Driver, error) {
+	return newDriver(eng, opt, nil, nil, nil)
+}
+
+// newDriver is the one constructor. t is this rank's transport, nil for a
+// Driver that is its own world (a one-rank transport counts as nil); halo
+// and budget default to no halo budgets and opt's budgets.
+func newDriver(eng *core.Engine, opt Options, t mpi.Transport, halo map[string]*optimizer.HaloConstraint, budget func(string, float64) (float64, error)) (*Driver, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return &Driver{eng: eng, opt: opt, state: make(map[string]*fieldState)}, nil
+	d := &Driver{eng: eng, opt: opt, halo: halo, budget: budget, state: make(map[string]*fieldState)}
+	if t != nil && t.Size() > 1 {
+		d.comm = mpi.NewComm(t)
+	}
+	if d.budget == nil {
+		d.budget = opt.budget
+	}
+	return d, nil
 }
 
 // Engine returns the driver's engine.
@@ -473,6 +523,32 @@ func (d *Driver) Step(ctx context.Context, snap map[string]*grid.Field3D) (*Step
 // returned error is non-nil only when the snapshot is empty or the step
 // was canceled; per-field errors never populate it.
 func (d *Driver) StepCompressed(ctx context.Context, snap map[string]*grid.Field3D, opt StepOptions) (*StepResult, error) {
+	res, err := d.step(ctx, snap, opt)
+	if res != nil {
+		// Nothing stands between a one-rank world's compression and its
+		// commit: every field that succeeded keeps its new state.
+		d.commit(res)
+	}
+	return res, err
+}
+
+// commit installs the calibration state a step staged. RunRank calls it
+// only after the commit barrier, so an attempt that dies before every rank
+// has written leaves no trace — no folded residual, no counted correction,
+// no recalibration — and the retry starts from the last committed step's
+// state, like a healthy run.
+func (d *Driver) commit(res *StepResult) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for name, st := range res.next {
+		d.state[name] = st
+	}
+}
+
+// step compresses one snapshot's fields and stages, without installing,
+// the calibration state each one leaves behind. In a multi-rank world
+// Fields holds this rank's share of each field (core.CompressOwned).
+func (d *Driver) step(ctx context.Context, snap map[string]*grid.Field3D, opt StepOptions) (*StepResult, error) {
 	if len(snap) == 0 {
 		return nil, fmt.Errorf("pipeline: %w: empty snapshot", apierr.ErrBadConfig)
 	}
@@ -507,30 +583,43 @@ func (d *Driver) StepCompressed(ctx context.Context, snap map[string]*grid.Field
 	if workers > len(names) {
 		workers = len(names)
 	}
+	// Every rank must enter the fields' collectives in the same order, so
+	// a multi-rank world takes the fields one at a time, in name order, and
+	// stops at the first failure: a rank that carried on to the next field
+	// would pair its gather with its peers' byte sum.
+	fieldCtx, stop := ctx, context.CancelFunc(func() {})
+	if d.comm != nil {
+		workers = 1
+		fieldCtx, stop = context.WithCancel(ctx)
+		defer stop()
+	}
 
 	st := &StepStats{Fields: make([]FieldStats, len(names))}
 	res := &StepResult{
 		Stats:  st,
 		Fields: make(map[string]*core.CompressedField, len(names)),
 		Errs:   make(map[string]error),
+		next:   make(map[string]*fieldState, len(names)),
 	}
 	var mu sync.Mutex // guards res
 	// Fields fan out over the shared worker pool (bounded by FieldWorkers
 	// and, transitively, GOMAXPROCS): the partition- and block-level
 	// fan-outs below draw from the same pool, so a nested run cannot
 	// oversubscribe to FieldWorkers × engine workers goroutines.
-	parallel.ForEachCtx(ctx, len(names), workers, func(i int) {
+	parallel.ForEachCtx(fieldCtx, len(names), workers, func(i int) {
 		name := names[i]
-		cf, fs, err := d.compressFieldIsolated(ctx, name, snap[name], scaleFor(name))
+		cf, fs, next, err := d.compressFieldIsolated(ctx, name, snap[name], scaleFor(name))
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
 			res.Errs[name] = err
 			st.Fields[i] = FieldStats{Name: name}
+			stop()
 			return
 		}
 		st.Fields[i] = *fs
 		res.Fields[name] = cf
+		res.next[name] = next
 	})
 	for i := range st.Fields {
 		fs := &st.Fields[i]
@@ -570,17 +659,16 @@ func tagRefitFailure(name string, drift float64, err error) error {
 // field's error, exactly like any other per-field failure — its
 // batch-mates in the same step never notice. The barrier sits here, at the
 // worker-pool boundary, because an unrecovered panic in a pool worker
-// would kill the whole process, not just the step. compressField's mutex
-// sections are short arithmetic and map updates that cannot themselves
-// panic; the compute stages (Features, Calibrate, CompressAdaptive) run
-// without the lock, so recovery never strands d.mu.
-func (d *Driver) compressFieldIsolated(ctx context.Context, name string, f *grid.Field3D, budgetScale float64) (cf *core.CompressedField, fs *FieldStats, err error) {
+// would kill the whole process, not just the step. compressField works on
+// its own copy of the field's state and takes d.mu only to read it, so
+// recovery never strands the lock or leaves the state half-updated.
+func (d *Driver) compressFieldIsolated(ctx context.Context, name string, f *grid.Field3D, budgetScale float64) (cf *core.CompressedField, fs *FieldStats, next *fieldState, err error) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		cf, fs = nil, nil
+		cf, fs, next = nil, nil, nil
 		// An error panic value (parallel.PanicError funneling a worker
 		// panic, faultinject's scheduled panics) stays in the unwrap chain
 		// so chaos tests can classify what detonated.
@@ -593,104 +681,115 @@ func (d *Driver) compressFieldIsolated(ctx context.Context, name string, f *grid
 	return d.compressField(ctx, name, f, budgetScale)
 }
 
-// compressField runs one field through feature extraction, the drift
-// check, (re)calibration when due, planning, and compression. budgetScale
-// multiplies the field's resolved budget for this step only (see
-// StepOptions.BudgetScale); the stored per-field budget stays unscaled.
-func (d *Driver) compressField(ctx context.Context, name string, f *grid.Field3D, budgetScale float64) (*core.CompressedField, *FieldStats, error) {
+// compressField runs one field through the feature scan and gather, the
+// drift check, (re)calibration when due, planning, and compression of the
+// owned partitions. budgetScale multiplies the field's resolved budget for
+// this step only (see StepOptions.BudgetScale); the stored per-field budget
+// stays unscaled. The field's state after the step is returned, not
+// installed: the caller decides when the step has committed.
+func (d *Driver) compressField(ctx context.Context, name string, f *grid.Field3D, budgetScale float64) (*core.CompressedField, *FieldStats, *fieldState, error) {
 	fs := &FieldStats{Name: name, Cells: f.Len()}
 
 	t0 := time.Now()
-	features, err := d.eng.Features(ctx, f)
+	owned, err := d.eng.OwnedPartitions(d.comm, f)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
+	}
+	scan, err := d.eng.ScanOwned(ctx, f, owned, d.halo[name])
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	features, halo, err := scan.Gather(d.comm)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	mean := stats.MeanOf(features)
 	fs.PlanSeconds += time.Since(t0).Seconds()
 
+	state := &fieldState{}
 	d.mu.Lock()
-	state := d.state[name]
-	if state == nil {
-		state = &fieldState{}
-		d.state[name] = state
+	if cur := d.state[name]; cur != nil {
+		*state = *cur
 	}
-	cal, anchor := state.cal, state.anchor
 	d.mu.Unlock()
 
-	if cal != nil && anchor > 0 {
-		fs.Drift = math.Abs(mean-anchor) / anchor
+	if state.cal != nil && state.anchor > 0 {
+		fs.Drift = math.Abs(mean-state.anchor) / state.anchor
 	}
-	recal := cal == nil
+	recal := state.cal == nil
 	switch d.opt.Policy {
 	case CalibrateEveryStep:
 		recal = true
 	case DriftTriggered:
 		recal = recal || fs.Drift > d.opt.DriftThreshold
 	}
-	if recal && cal != nil && d.opt.Policy == DriftTriggered && d.opt.ModelGuardBand >= 0 {
+	if recal && state.cal != nil && d.opt.Policy == DriftTriggered && d.opt.ModelGuardBand >= 0 {
 		// Drift event with a healthy model: absorb it with an O(1) rescale
 		// of the rate model instead of paying for a rescan.
-		d.mu.Lock()
 		if scale, ok := state.correctionScale(fs.Drift, d.opt.DriftThreshold); ok {
-			cal = cal.Rescaled(scale)
-			state.cal, state.anchor = cal, mean
+			state.cal, state.anchor = state.cal.Rescaled(scale), mean
 			state.corrections++
 			state.ewma = 0 // the rescale consumed the accumulated residual
-			anchor = mean
 			recal = false
 			fs.ModelCorrected = true
 		}
-		d.mu.Unlock()
 	}
 	if recal {
-		refit := cal != nil // a re-fit, not the field's first calibration
+		refit := state.cal != nil // a re-fit, not the field's first calibration
 		t1 := time.Now()
-		cal, err = d.eng.Calibrate(ctx, f, d.opt.Calibration)
+		// Calibration is local and deterministic: every rank fits the same
+		// model from the same bytes, so no broadcast is needed and a rank
+		// that joined a retry mid-run reaches the same plan.
+		cal, err := d.eng.Calibrate(ctx, f, d.opt.Calibration)
 		if err != nil {
 			if refit {
 				err = tagRefitFailure(name, fs.Drift, err)
 			}
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		fs.CalibrateSeconds = time.Since(t1).Seconds()
 		fs.Recalibrated = true
-		anchor = mean
-	}
-
-	d.mu.Lock()
-	if recal {
-		state.cal, state.anchor = cal, anchor
+		state.cal, state.anchor = cal, mean
 		state.resetModelTracking()
 	}
+
 	if state.avgEB == 0 {
-		if eb, ok := d.opt.AvgEBs[name]; ok {
-			state.avgEB = eb
-		} else {
-			state.avgEB = d.opt.RelAvgEB * mean
+		// mean is the gathered global mean, the same on every rank, so a
+		// relative budget needs no further agreement.
+		if state.avgEB, err = d.budget(name, mean); err != nil {
+			return nil, nil, nil, err
 		}
 	}
 	fs.AvgEB = state.avgEB * budgetScale
-	d.mu.Unlock()
 	if fs.AvgEB <= 0 {
-		return nil, nil, fmt.Errorf("pipeline: field %s resolved a non-positive budget (mean |value| %g)", name, mean)
+		return nil, nil, nil, fmt.Errorf("pipeline: field %s resolved a non-positive budget (mean |value| %g)", name, mean)
 	}
 
 	t2 := time.Now()
-	plan, err := d.eng.PlanFromFeatures(features, cal, core.PlanOptions{AvgEB: fs.AvgEB})
+	plan, err := d.eng.PlanFromFeatures(features, state.cal, core.PlanOptions{AvgEB: fs.AvgEB, Halo: halo})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	fs.PlanSeconds += time.Since(t2).Seconds()
 
 	t3 := time.Now()
-	cf, err := d.eng.CompressAdaptive(ctx, f, plan)
+	cf, err := d.eng.CompressOwned(ctx, f, plan, owned)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	fs.CompressSeconds = time.Since(t3).Seconds()
 	fs.Bytes = cf.CompressedSize()
-	fs.Ratio = cf.Ratio()
-	fs.BitRate = cf.BitRate()
+	if d.comm != nil {
+		// Byte counts are integers far below 2^53, so the float64 sum is
+		// exact and does not depend on the rank layout.
+		total, err := d.comm.Allreduce(float64(fs.Bytes), mpi.OpSum)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		fs.Bytes = int(total)
+	}
+	fs.Ratio = float64(4*fs.Cells) / float64(fs.Bytes)
+	fs.BitRate = float64(fs.Bytes) * 8 / float64(fs.Cells)
 
 	// Fold the step's observed bit rate into the residual EWMA — the free
 	// online check that keeps O(1) corrections honest: while predictions
@@ -698,7 +797,6 @@ func (d *Driver) compressField(ctx context.Context, name string, f *grid.Field3D
 	// diverge past the guard band the next drift event rescans.
 	if pred := plan.Predicted.PredictedBitRate; pred > 0 && fs.BitRate > 0 {
 		r := math.Log(fs.BitRate / pred)
-		d.mu.Lock()
 		if state.ewmaOK {
 			state.ewma = (1-residualAlpha)*state.ewma + residualAlpha*r
 		} else {
@@ -708,7 +806,6 @@ func (d *Driver) compressField(ctx context.Context, name string, f *grid.Field3D
 			state.pendingRecal = true
 		}
 		fs.ModelResidual = math.Abs(state.ewma)
-		d.mu.Unlock()
 	}
-	return cf, fs, nil
+	return cf, fs, state, nil
 }

@@ -5,31 +5,33 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/apierr"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/optimizer"
 )
 
 // Distributed rank runner. RunRank is one rank's side of a failure-tolerant
-// in situ run: every rank consumes the same deterministic source, compresses
-// the partitions it owns through the partition-ID-ordered in situ protocol
-// (core.CompressInSituRank), and streams them into its own v3 shard
-// (core.ShardStepFields). A step commits only when the post-write barrier
-// succeeds on every alive rank.
+// in situ run: every rank consumes the same deterministic source and steps
+// it through the package's one Driver, which compresses the partitions this
+// rank owns (see the package comment for the step protocol). What RunRank
+// adds is its own: the rank's v3 shard (core.ShardStepFields), the commit
+// barrier — a step commits only when it succeeds on every alive rank — and
+// recovery.
 //
 // When a rank dies, the transport surfaces *apierr.RankFailedError from the
 // collective instead of hanging. Every survivor then rolls its shard back to
 // the last committed step (StreamWriter.TruncateSteps — a no-op on ranks the
-// failure caught before they wrote), recomputes the partition assignment
-// over the survivor set (core.AssignPartitions — pure function of
-// (nParts, alive), no negotiation), and retries the step. Because the
-// protocol's reductions fold in partition-ID order, the retried frames are
-// byte-identical to what a healthy run would have produced, so the merged
-// archive (core.MergeShards) still matches the single-process golden
-// bit-for-bit.
+// failure caught before they wrote), drops the calibration state the
+// attempt staged, and retries the step; the Driver recomputes the partition
+// assignment over the survivor set (core.AssignPartitions — pure function of
+// (nParts, alive), no negotiation). Every rank holds the full per-field
+// state and every plan is computed from the gathered, partition-ID-ordered
+// feature vector, so the retried frames are byte-identical to what a healthy
+// run would have produced, and the merged archive (core.MergeShards) matches
+// bit for bit what Driver.Run writes in a single process from the same
+// source, budgets and policy.
 
 // RankConfig configures one rank of a distributed run. Every rank must be
 // constructed with identical configuration — the assignment and the error
@@ -39,14 +41,17 @@ type RankConfig struct {
 	// rank: partition dim, codec, clamp factor and strategy all shape the
 	// bytes).
 	Engine core.Config
-	// AvgEB is the default quality budget per field. Budgets are absolute:
-	// a relative budget would need a collectively agreed baseline, which is
-	// exactly the kind of hidden negotiation this path avoids.
+	// AvgEB is the default quality budget per field, absolute. A relative
+	// one would resolve identically on every rank (the gathered features
+	// give each the same global mean), but there is no field to ask for it,
+	// and a launcher that forgot a field's budget is told so (ErrBadConfig)
+	// rather than handed Options.RelAvgEB's default.
 	AvgEB float64
 	// AvgEBs overrides the budget for specific fields.
 	AvgEBs map[string]float64
-	// Halo optionally enforces the halo-mass budget per field.
-	Halo map[string]*core.InSituHalo
+	// Halo optionally enforces the halo-mass budget per field. Boundary
+	// cells are counted in each step's feature scan.
+	Halo map[string]*optimizer.HaloConstraint
 	// MaxStepRetries bounds how many rank failures one step may absorb
 	// before the run gives up (default: the initial world size — each retry
 	// consumes at least one dead rank).
@@ -75,22 +80,42 @@ type RankRunStats struct {
 
 // RunRank runs this rank's side of a distributed compression run: it
 // consumes src until io.EOF, writes this rank's shard stream to shard, and
-// commits each step with a barrier. See the package comment above for the
-// failure protocol. The shard writer must additionally support Truncate and
-// Seek (e.g. *os.File) for failure rollback; a plain writer works as long
-// as no rank dies.
+// commits each step with a barrier. See the comment at the top of this file
+// for the failure protocol. The shard writer must additionally support
+// Truncate and Seek (e.g. *os.File) for failure rollback; a plain writer
+// works as long as no rank dies.
 //
 // The caller merges the shards afterwards with core.MergeShards; the merged
-// stream is byte-identical to a single-process run of the same source and
-// configuration, regardless of rank count or mid-run failures.
+// stream is byte-identical to a single-process Driver.Run over the same
+// source and budgets, regardless of rank count or mid-run failures.
 func RunRank(ctx context.Context, t mpi.Transport, src Source, shard io.Writer, cfg RankConfig) (*RankRunStats, error) {
-	if cfg.AvgEB <= 0 && len(cfg.AvgEBs) == 0 {
-		return nil, fmt.Errorf("pipeline: %w: RunRank needs an absolute quality budget (AvgEB or AvgEBs)", apierr.ErrBadConfig)
-	}
 	eng, err := core.NewEngine(cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
+	drv, err := newDriver(eng, Options{}, t, cfg.Halo, cfg.budget)
+	if err != nil {
+		return nil, err
+	}
+	return drv.runRank(ctx, t, src, shard, cfg)
+}
+
+// budget is the Driver's budget rule for a rank run: a field's AvgEBs entry,
+// else AvgEB, and a config error when neither is positive.
+func (cfg RankConfig) budget(name string, _ float64) (float64, error) {
+	eb, ok := cfg.AvgEBs[name]
+	if !ok {
+		eb = cfg.AvgEB
+	}
+	if eb <= 0 {
+		return 0, fmt.Errorf("pipeline: %w: RunRank needs a positive absolute budget for field %q (AvgEB or AvgEBs), got %g", apierr.ErrBadConfig, name, eb)
+	}
+	return eb, nil
+}
+
+// runRank is RunRank's step loop over a Driver built on t; cfg supplies the
+// retry bound and the hooks.
+func (d *Driver) runRank(ctx context.Context, t mpi.Transport, src Source, shard io.Writer, cfg RankConfig) (*RankRunStats, error) {
 	comm := mpi.NewComm(t)
 	sw, err := core.NewStreamWriter(shard)
 	if err != nil {
@@ -102,7 +127,6 @@ func RunRank(ctx context.Context, t mpi.Transport, src Source, shard io.Writer, 
 	}
 
 	st := &RankRunStats{Rank: t.Rank()}
-	cals := make(map[string]*core.Calibration)
 	committed := 0
 	for {
 		snap, err := src.Next()
@@ -112,18 +136,22 @@ func RunRank(ctx context.Context, t mpi.Transport, src Source, shard io.Writer, 
 		if err != nil {
 			return st, fmt.Errorf("pipeline: rank %d source: %w", t.Rank(), err)
 		}
-		names := make([]string, 0, len(snap))
-		for name := range snap {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 
 		retries := 0
 		for { // one iteration per attempt at this step
 			if err := ctx.Err(); err != nil {
 				return st, fmt.Errorf("pipeline: rank %d canceled after %d steps: %w", t.Rank(), committed, err)
 			}
-			block, err := compressRankStep(ctx, eng, comm, t, snap, names, cals, cfg)
+			res, err := d.step(ctx, snap, StepOptions{})
+			if res != nil {
+				if ferr := res.firstErr(); ferr != nil {
+					err = ferr // the field's own error carries the cause
+				}
+			}
+			var block map[string]*core.CompressedField
+			if err == nil {
+				block, err = core.ShardStepFields(res.Fields)
+			}
 			if err == nil {
 				if err = sw.WriteStep(block); err != nil {
 					return st, err
@@ -133,6 +161,7 @@ func RunRank(ctx context.Context, t mpi.Transport, src Source, shard io.Writer, 
 				// survivors commit this step or none do.
 				err = comm.Barrier()
 				if err == nil {
+					d.commit(res)
 					committed++
 					st.Steps = committed
 					if cfg.OnCommit != nil {
@@ -143,7 +172,17 @@ func RunRank(ctx context.Context, t mpi.Transport, src Source, shard io.Writer, 
 			}
 			var rf *apierr.RankFailedError
 			if !errors.As(err, &rf) {
-				return st, err
+				return st, fmt.Errorf("pipeline: rank %d: %w", t.Rank(), err)
+			}
+			if errors.Is(err, apierr.ErrCoordinatorLost) {
+				// This rank's own link to the coordinator is gone: there is
+				// no world left to retry in, and no way to learn whether the
+				// step in flight committed — the others may hold our barrier
+				// contribution. Leave the shard as written: MergeShards keeps
+				// a committed step and drops the byte-identical copy of one
+				// the survivors retried. A live coordinator reporting rank 0
+				// dead is an ordinary peer failure, handled below.
+				return st, fmt.Errorf("pipeline: rank %d lost the coordinator at step %d: %w", t.Rank(), committed, err)
 			}
 			// A peer died mid-step. Roll back whatever this attempt wrote
 			// (a no-op when the failure arrived before our write), adopt the
@@ -186,52 +225,4 @@ func RunRank(ctx context.Context, t mpi.Transport, src Source, shard io.Writer, 
 	st.Alive = t.Alive()
 	st.Collectives, _ = t.Stats()
 	return st, nil
-}
-
-// compressRankStep compresses one attempt of one step: every field of the
-// snapshot, this rank's share only, into a shard step block.
-func compressRankStep(ctx context.Context, eng *core.Engine, comm *mpi.Comm, t mpi.Transport,
-	snap map[string]*grid.Field3D, names []string, cals map[string]*core.Calibration, cfg RankConfig) (map[string]*core.CompressedField, error) {
-	block := make(map[string]*core.CompressedField)
-	for _, name := range names {
-		f := snap[name]
-		cal := cals[name]
-		if cal == nil {
-			// Calibration is local and deterministic: every rank fits the
-			// same model from the same bytes, so no broadcast is needed and
-			// a rank that joined a retry mid-run reaches the same plan.
-			var err error
-			cal, err = eng.Calibrate(ctx, f, core.CalibrationOptions{})
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: rank %d field %s: %w", t.Rank(), name, err)
-			}
-			cals[name] = cal
-		}
-		eb := cfg.AvgEB
-		if v, ok := cfg.AvgEBs[name]; ok {
-			eb = v
-		}
-		nParts, err := eng.NumPartitions(f)
-		if err != nil {
-			return nil, err
-		}
-		alive := t.Alive()
-		if nParts < len(alive) {
-			return nil, fmt.Errorf("pipeline: %w: field %s has %d partitions for %d ranks — every rank must own at least one",
-				apierr.ErrBadConfig, name, nParts, len(alive))
-		}
-		owned := core.AssignPartitions(nParts, alive)[t.Rank()]
-		sh, err := eng.CompressInSituRank(ctx, comm, f, cal, core.InSituOptions{AvgEB: eb, Halo: cfg.Halo[name]}, owned)
-		if err != nil {
-			return nil, err
-		}
-		fields, err := core.ShardStepFields(name, f.Nx, f.Ny, f.Nz, eng.Config().PartitionDim, sh)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range fields {
-			block[k] = v
-		}
-	}
-	return block, nil
 }
