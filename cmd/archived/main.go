@@ -205,4 +205,3 @@ func runServe(dir, addr string, cacheBytes int64) error {
 		return nil
 	}
 }
-

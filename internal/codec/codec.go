@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/apierr"
-	"repro/internal/grid"
 	"repro/internal/sz"
 	"repro/internal/zfp"
 )
@@ -90,13 +89,6 @@ type Options struct {
 	QuantizeBeforePredict bool
 	// Radius overrides the quantization radius when > 0 (SZ).
 	Radius int
-	// RateHint is an advisory predicted bit rate (bits/value) for
-	// rate-searching codecs: the zfp adapter seeds its bracket search from
-	// it, cutting the probe ladder to a couple of truncated decodes. The
-	// hint never changes the chosen frame — a wrong hint only costs extra
-	// probes — so hinted and unhinted searches are byte-identical. 0 means
-	// no hint.
-	RateHint float64
 	// Telemetry, when non-nil, is filled by the codec with introspection
 	// from the compression it performs (quantization histogram, rate-search
 	// probe counts). It adds one cheap pass at most; leave nil on paths
@@ -113,8 +105,10 @@ type Telemetry struct {
 	// exact hits (code 0); index k ∈ [1, 16] counts codes with
 	// |q| ∈ [2^(k−1), 2^k); the final index counts outliers.
 	QuantHist []int64
-	// Probes counts the truncated-decode probes a rate search performed.
-	Probes int
+	// Probes counts the candidate rates a rate search evaluated, and
+	// BlockDecodes the truncated block decodes that took (a whole-field
+	// verification is one per block).
+	Probes, BlockDecodes int
 	// ChosenRate is the bit rate the search settled on (bits/value).
 	ChosenRate float64
 }
@@ -164,9 +158,6 @@ type Scratch struct {
 	// zfp holds the ZFP compressor's working buffers (block state, stream
 	// cursors, chunk bookkeeping), lazily allocated by the ZFP adapter.
 	zfp *zfp.Scratch
-	// zfpProbe is the reconstruction buffer the ZFP adapter's single-pass
-	// rate search decodes probes into, reused across partitions.
-	zfpProbe *grid.Field3D
 }
 
 // Codec is one compression backend. Implementations must be safe for
@@ -184,7 +175,7 @@ type Codec interface {
 
 // CompressCtx compresses through c, forwarding ctx to codecs that support
 // mid-compression cancellation (the zfp rate search checks it between
-// truncated-decode probes); other codecs fall back to plain Compress,
+// candidate rates); other codecs fall back to plain Compress,
 // whose callers already check ctx between partitions.
 func CompressCtx(ctx context.Context, c Codec, data []float32, nx, ny, nz int, opt Options, s *Scratch) (Frame, error) {
 	type ctxCompressor interface {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // testBrick builds a smooth 16³ brick with structure on several scales so
@@ -32,7 +34,8 @@ func maxErr(t *testing.T, a, b []float32) float64 {
 	if len(a) != len(b) {
 		t.Fatalf("length mismatch: %d vs %d", len(a), len(b))
 	}
-	return maxAbsErr(a, b)
+	m, _ := stats.MaxAbsError(a, b)
+	return m
 }
 
 // TestRoundTripThroughInterface drives both registered codecs end to end

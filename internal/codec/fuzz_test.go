@@ -70,12 +70,39 @@ func fuzzSeedMutations(valid [][]byte) [][]byte {
 	return out
 }
 
-func FuzzDecodeFrame(f *testing.F) {
-	seeds := fuzzSeedFrames(f)
-	for _, s := range seeds {
-		f.Add(s)
+// fuzzSeedBounded adds zfp frames from the error-bounded path on a brick
+// with ragged dims: a tight bound, a loose one, one no rate meets, and a
+// torn frame. They come after the older seeds so those keep their corpus
+// file names.
+func fuzzSeedBounded(tb testing.TB) [][]byte {
+	tb.Helper()
+	data := make([]float32, 7*5*3)
+	for i := range data {
+		data[i] = float32(i%11)*0.25 - 1
 	}
-	for _, s := range fuzzSeedMutations(seeds) {
+	c, err := Lookup(ZFP)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out [][]byte
+	for _, eb := range []float64{1e-4, 0.4, 1e-30} {
+		fr, err := c.Compress(data, 7, 5, 3, Options{ErrorBound: eb}, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, EncodeFrame(fr))
+	}
+	return append(out, out[0][:len(out[0])-5])
+}
+
+// fuzzSeeds is the whole seed list, in corpus file order.
+func fuzzSeeds(tb testing.TB) [][]byte {
+	seeds := fuzzSeedFrames(tb)
+	return append(append(seeds, fuzzSeedMutations(seeds)...), fuzzSeedBounded(tb)...)
+}
+
+func FuzzDecodeFrame(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -109,8 +136,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if !*updateFuzzCorpus {
 		t.Skip("run with -update-fuzz-corpus to rewrite the corpus")
 	}
-	seeds := fuzzSeedFrames(t)
-	writeFuzzCorpus(t, "FuzzDecodeFrame", append(seeds, fuzzSeedMutations(seeds)...))
+	writeFuzzCorpus(t, "FuzzDecodeFrame", fuzzSeeds(t))
 }
 
 // writeFuzzCorpus writes byte seeds in the `go test fuzz v1` corpus file

@@ -5,51 +5,46 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repro/internal/zfp"
 )
 
-// TestZFPHintByteIdentity pins the rate-hint contract: a hint — accurate,
-// wildly wrong, or absent — may change only how many probes the bracket
-// search spends, never the frame it settles on.
-func TestZFPHintByteIdentity(t *testing.T) {
+// TestZFPBoundedWorkBound pins what the rate search may cost: the verify
+// pass of the chosen rate decodes every block once, and everything before
+// it — the pivot's binary search, the failing rates — must fit in another
+// block count and a half (a search built on whole-partition probes spends
+// nine on this brick). The telemetry is that of the frame returned, and
+// neither it nor the frame depends on the scratch.
+func TestZFPBoundedWorkBound(t *testing.T) {
 	data, nx, ny, nz := testBrick()
+	blocks := (nx / 4) * (ny / 4) * (nz / 4)
 	c, err := Lookup(ZFP)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var warm Scratch
 	for _, eb := range []float64{0.5, 0.05, 0.005} {
-		var refTel Telemetry
-		ref, err := c.Compress(data, nx, ny, nz, Options{ErrorBound: eb, Telemetry: &refTel}, nil)
+		var tel Telemetry
+		ref, err := c.Compress(data, nx, ny, nz, Options{ErrorBound: eb, Telemetry: &tel}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, hint := range []float64{0.1, 0.9, refTel.ChosenRate, 7.3, 32, 1e6} {
-			var tel Telemetry
-			got, err := c.Compress(data, nx, ny, nz,
-				Options{ErrorBound: eb, RateHint: hint, Telemetry: &tel}, nil)
-			if err != nil {
-				t.Fatalf("eb %g hint %g: %v", eb, hint, err)
-			}
-			if !bytes.Equal(got.Bytes(), ref.Bytes()) {
-				t.Errorf("eb %g: hint %g changed the frame bytes", eb, hint)
-			}
-			if tel.ChosenRate != refTel.ChosenRate {
-				t.Errorf("eb %g hint %g: chose rate %g, unhinted chose %g",
-					eb, hint, tel.ChosenRate, refTel.ChosenRate)
-			}
-			if tel.Probes <= 0 {
-				t.Errorf("eb %g hint %g: telemetry counted no probes", eb, hint)
-			}
+		if tel.BlockDecodes < blocks || float64(tel.BlockDecodes) > 2.5*float64(blocks) {
+			t.Errorf("eb %g: %d block decodes for %d blocks, want within [1, 2.5] x blocks", eb, tel.BlockDecodes, blocks)
 		}
-		// The point of the hint: seeding at the chosen rate brackets in at
-		// most two ladder probes before the (shared) bisection refinement.
-		var tel Telemetry
-		if _, err := c.Compress(data, nx, ny, nz,
-			Options{ErrorBound: eb, RateHint: refTel.ChosenRate, Telemetry: &tel}, nil); err != nil {
+		if tel.Probes <= 0 || tel.Probes > tel.BlockDecodes {
+			t.Errorf("eb %g: %d candidate rates over %d block decodes", eb, tel.Probes, tel.BlockDecodes)
+		}
+		if parsed, err := zfp.Parse(ref.Bytes()); err != nil || parsed.Rate != tel.ChosenRate {
+			t.Errorf("eb %g: telemetry says rate %g, the frame says %+v (%v)", eb, tel.ChosenRate, parsed, err)
+		}
+		var again Telemetry
+		pooled, err := c.Compress(data, nx, ny, nz, Options{ErrorBound: eb, Telemetry: &again}, &warm)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if tel.Probes > refTel.Probes {
-			t.Errorf("eb %g: accurate hint spent %d probes, unhinted spent %d",
-				eb, tel.Probes, refTel.Probes)
+		if !bytes.Equal(pooled.Bytes(), ref.Bytes()) || again.Probes != tel.Probes || again.BlockDecodes != tel.BlockDecodes || again.ChosenRate != tel.ChosenRate {
+			t.Errorf("eb %g: a reused scratch changed the frame or the telemetry (%+v vs %+v)", eb, again, tel)
 		}
 	}
 }

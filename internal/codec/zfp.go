@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/grid"
 	"repro/internal/zfp"
@@ -14,40 +13,24 @@ import (
 // interface. Two behaviours:
 //
 //   - Options.Rate > 0: plain fixed-rate compression, ZFP's native mode.
-//   - Options.Rate == 0, ErrorBound > 0: the adapter searches for the
-//     cheapest rate whose measured max error meets the bound (geometric
-//     ladder then bisection refinement). This is what lets a fixed-rate
-//     codec consume the configurator's per-partition error-bound plans —
-//     the bound is best effort: if even the maximum rate misses it, the
-//     max-rate frame is returned, which is precisely the failure mode the
-//     paper cites for rejecting fixed-rate codecs (Sec. 2.2).
-//
-// The search is single-pass: the field is compressed once at the maximum
-// rate with per-block bit accounting (zfp.CompressIndexed), every probe is
-// a truncated decode of that one stream (a smaller budget reads a strict
-// prefix of each block), and the chosen frame is spliced out of it
-// (TruncateToRate) — byte-identical to recompressing at the chosen rate,
-// so the probe sequence, the chosen rates, and the archived bits all match
-// the old recompress-per-probe search exactly.
+//   - Options.Rate == 0, ErrorBound > 0: zfp.CompressBounded picks a rate
+//     that verifiably meets the bound on every cell. This is what lets a
+//     fixed-rate codec consume the configurator's per-partition error-bound
+//     plans — the bound is best effort: if even the maximum rate misses it,
+//     the max-rate frame is returned with ErrorBound 0, which is precisely
+//     the failure mode the paper cites for rejecting fixed-rate codecs
+//     (Sec. 2.2).
 type zfpCodec struct{}
 
 func (zfpCodec) ID() ID { return ZFP }
-
-// Rate search bounds: ZFP accepts rates in [0.5, 32] bits/value.
-const (
-	zfpMinRate     = 0.5
-	zfpMaxRate     = 32
-	zfpRefineSteps = 3
-)
 
 func (z zfpCodec) Compress(data []float32, nx, ny, nz int, opt Options, s *Scratch) (Frame, error) {
 	return z.CompressCtx(context.Background(), data, nx, ny, nz, opt, s)
 }
 
 // CompressCtx is Compress with mid-compression cancellation: the rate
-// search checks ctx before every truncated-decode probe, so a canceled
-// context stops a search after the probe in flight instead of running the
-// remaining ladder (see codec.CompressCtx).
+// search checks ctx before every candidate rate it evaluates (see
+// codec.CompressCtx).
 func (zfpCodec) CompressCtx(ctx context.Context, data []float32, nx, ny, nz int, opt Options, s *Scratch) (Frame, error) {
 	if err := validateDims(data, nx, ny, nz); err != nil {
 		return nil, err
@@ -60,136 +43,26 @@ func (zfpCodec) CompressCtx(ctx context.Context, data []float32, nx, ny, nz int,
 		}
 		return zfpFrame{c: c}, nil
 	}
-	if opt.ErrorBound <= 0 {
+	if !(opt.ErrorBound > 0) { // NaN-safe
 		return nil, errors.New("codec: zfp needs Options.Rate or Options.ErrorBound")
 	}
 	if opt.Mode != ABS {
 		return nil, errors.New("codec: zfp rate search supports ABS error bounds only")
 	}
-	return compressBounded(ctx, f, opt, s)
-}
-
-// zfpLadder is the geometric rate ladder of the bracket search.
-var zfpLadder = [...]float64{0.5, 1, 2, 4, 8, 16, 32}
-
-// compressBounded finds the cheapest fixed rate meeting an absolute error
-// bound. One compression total; each probe decodes the indexed max-rate
-// stream truncated to the probe's budget. The bracket comes from the
-// geometric ladder — seeded at the model's predicted rate when
-// Options.RateHint is set, so an accurate hint brackets in two probes
-// where the unhinted search walks the ladder from the bottom — followed by
-// the same bisection refinement either way. Because truncated-stream max
-// error is non-increasing in rate, every path settles on the identical
-// bracket, so hinted and unhinted searches (and the pre-hint ladder
-// search) produce byte-identical frames.
-func compressBounded(ctx context.Context, f *grid.Field3D, opt Options, s *Scratch) (Frame, error) {
-	eb := opt.ErrorBound
-	zs := zfpScratch(s)
-	ix, err := zfp.CompressIndexed(f, zfp.Options{Rate: zfpMaxRate}, zs)
+	c, st, err := zfp.CompressBounded(ctx, f, opt.ErrorBound, zfpScratch(s))
 	if err != nil {
-		return nil, err
-	}
-	probe := zfpProbe(s, f)
-	probes := 0
-	try := func(rate float64) (float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, fmt.Errorf("codec: zfp rate search: %w", err)
-		}
-		probes++
-		if err := ix.DecompressAtRateInto(probe, rate, zs); err != nil {
-			return 0, err
-		}
-		return maxAbsErr(f.Data, probe.Data), nil
-	}
-
-	// Bracket: start at the ladder rung covering the hint (the bottom rung
-	// without one) and walk toward the boundary between failing and
-	// passing rungs.
-	start := 0
-	if opt.RateHint > 0 {
-		for start < len(zfpLadder)-1 && zfpLadder[start] < opt.RateHint {
-			start++
-		}
-	}
-	lo := 0.0 // highest rate known to miss the bound
-	hi := 0.0 // cheapest rate known to meet it
-	k := start
-	maxErr, err := try(zfpLadder[k])
-	if err != nil {
-		return nil, err
-	}
-	if maxErr <= eb {
-		for k > 0 {
-			below, err := try(zfpLadder[k-1])
-			if err != nil {
-				return nil, err
-			}
-			if below > eb {
-				break
-			}
-			k--
-		}
-		hi = zfpLadder[k]
-		if k > 0 {
-			lo = zfpLadder[k-1]
-		}
-	} else {
-		lo = zfpLadder[k]
-		for k < len(zfpLadder)-1 {
-			k++
-			maxErr, err := try(zfpLadder[k])
-			if err != nil {
-				return nil, err
-			}
-			if maxErr <= eb {
-				hi = zfpLadder[k]
-				break
-			}
-			lo = zfpLadder[k]
-		}
-	}
-	if hi == 0 {
-		// Even the maximum rate misses the bound: the max-rate stream is
-		// the best the codec can do; return it with ErrorBound 0 to signal
-		// "no guarantee".
-		if opt.Telemetry != nil {
-			opt.Telemetry.Probes = probes
-			opt.Telemetry.ChosenRate = zfpMaxRate
-		}
-		return zfpFrame{c: ix.C}, nil
-	}
-	for i := 0; i < zfpRefineSteps && hi-lo > 0.25 && lo >= zfpMinRate; i++ {
-		mid := (lo + hi) / 2
-		maxErr, err := try(mid)
-		if err != nil {
-			return nil, err
-		}
-		if maxErr <= eb {
-			hi = mid
-		} else {
-			lo = mid
-		}
+		return nil, fmt.Errorf("codec: %w", err)
 	}
 	if opt.Telemetry != nil {
-		opt.Telemetry.Probes = probes
-		opt.Telemetry.ChosenRate = hi
+		opt.Telemetry.Probes = st.Rounds
+		opt.Telemetry.BlockDecodes = st.BlockDecodes
+		opt.Telemetry.ChosenRate = c.Rate
 	}
-	c, err := ix.TruncateToRate(hi, zs)
-	if err != nil {
-		return nil, err
+	fr := zfpFrame{c: c}
+	if st.Met {
+		fr.eb = opt.ErrorBound
 	}
-	return zfpFrame{c: c, eb: eb}, nil
-}
-
-func maxAbsErr(a, b []float32) float64 {
-	var m float64
-	for i := range a {
-		d := math.Abs(float64(a[i]) - float64(b[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m
+	return fr, nil
 }
 
 // zfpScratch lazily materializes the ZFP working buffers inside the shared
@@ -202,19 +75,6 @@ func zfpScratch(s *Scratch) *zfp.Scratch {
 		s.zfp = &zfp.Scratch{}
 	}
 	return s.zfp
-}
-
-// zfpProbe returns the rate search's reusable reconstruction buffer, sized
-// like f (partitions of one field all share a shape, so steady-state
-// probing allocates nothing).
-func zfpProbe(s *Scratch, f *grid.Field3D) *grid.Field3D {
-	if s == nil {
-		return grid.NewField3D(f.Nx, f.Ny, f.Nz)
-	}
-	if s.zfpProbe == nil || !s.zfpProbe.SameShape(f) {
-		s.zfpProbe = grid.NewField3D(f.Nx, f.Ny, f.Nz)
-	}
-	return s.zfpProbe
 }
 
 func (zfpCodec) Parse(body []byte) (Frame, error) {

@@ -338,9 +338,7 @@ func (e *Engine) modelScanCalibration(ctx context.Context, f *grid.Field3D, p *g
 		if err != nil {
 			return nil, 0, err
 		}
-		opt := e.codecOptions(anchorEB)
-		opt.RateHint = rq.PriorBitRate(anchorEB)
-		c, err := codec.CompressCtx(ctx, e.cdc, data, nx, ny, nz, opt, scratch)
+		c, err := codec.CompressCtx(ctx, e.cdc, data, nx, ny, nz, e.codecOptions(anchorEB), scratch)
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: calibration compress (partition %d, eb %g): %w", pi, anchorEB, err)
 		}

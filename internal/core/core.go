@@ -156,10 +156,6 @@ type Plan struct {
 	EBs []float64
 	// Features[i] is the rate-model predictor used for partition i.
 	Features []float64
-	// Rates[i] is the model-predicted bit rate of partition i at its
-	// planned bound, forwarded to rate-searching codecs as an advisory
-	// search seed (codec.Options.RateHint — never changes the frames).
-	Rates []float64
 	// AvgEB is the quality budget the plan satisfies.
 	AvgEB float64
 	// Predicted carries the optimizer's model estimates.
@@ -325,11 +321,7 @@ func (e *Engine) PlanFromFeatures(features []float64, cal *Calibration, opt Plan
 	if err != nil {
 		return nil, err
 	}
-	rates := make([]float64, len(res.EBs))
-	for i := range rates {
-		rates[i] = cal.Model.BitRate(features[i], res.EBs[i])
-	}
-	return &Plan{EBs: res.EBs, Features: features, Rates: rates, AvgEB: opt.AvgEB, Predicted: *res}, nil
+	return &Plan{EBs: res.EBs, Features: features, AvgEB: opt.AvgEB, Predicted: *res}, nil
 }
 
 // CompressedField is a field compressed partition-by-partition. Parts are
@@ -371,11 +363,7 @@ func (e *Engine) CompressOwned(ctx context.Context, f *grid.Field3D, plan *Plan,
 			return nil, fmt.Errorf("core: %w: owned partition %d outside [0,%d)", apierr.ErrBadConfig, pi, p.Count())
 		}
 	}
-	var rateOf func(int) float64
-	if len(plan.Rates) == len(plan.EBs) {
-		rateOf = func(i int) float64 { return plan.Rates[i] }
-	}
-	return e.compressWith(ctx, f, p, owned, func(i int) float64 { return plan.EBs[i] }, rateOf)
+	return e.compressWith(ctx, f, p, owned, func(i int) float64 { return plan.EBs[i] })
 }
 
 // CompressStatic compresses every partition with the same bound — the
@@ -388,7 +376,7 @@ func (e *Engine) CompressStatic(ctx context.Context, f *grid.Field3D, eb float64
 	if err != nil {
 		return nil, err
 	}
-	return e.compressWith(ctx, f, p, nil, func(int) float64 { return eb }, nil)
+	return e.compressWith(ctx, f, p, nil, func(int) float64 { return eb })
 }
 
 func planLen(p *Plan) int {
@@ -400,7 +388,7 @@ func planLen(p *Plan) int {
 
 // compressWith is the one loop that hands partitions to the codec: the
 // listed ones (nil = all), each at ebOf(partition ID).
-func (e *Engine) compressWith(ctx context.Context, f *grid.Field3D, p *grid.Partitioner, owned []int, ebOf, rateOf func(int) float64) (*CompressedField, error) {
+func (e *Engine) compressWith(ctx context.Context, f *grid.Field3D, p *grid.Partitioner, owned []int, ebOf func(int) float64) (*CompressedField, error) {
 	parts := p.Partitions()
 	cf := &CompressedField{
 		Nx: f.Nx, Ny: f.Ny, Nz: f.Nz,
@@ -425,11 +413,7 @@ func (e *Engine) compressWith(ctx context.Context, f *grid.Field3D, p *grid.Part
 		nx, ny, nz := part.Dims()
 		// The codec retains neither the input nor the scratch past the
 		// call, so the per-worker buffers are reused across partitions.
-		opt := e.codecOptions(ebOf(i))
-		if rateOf != nil {
-			opt.RateHint = rateOf(i)
-		}
-		c, err := codec.CompressCtx(ctx, e.cdc, data, nx, ny, nz, opt, s)
+		c, err := codec.CompressCtx(ctx, e.cdc, data, nx, ny, nz, e.codecOptions(ebOf(i)), s)
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {

@@ -266,8 +266,8 @@ func (m *RQModel) predictionPrior(eb float64) float64 {
 			if w*runs < 1e-14 {
 				break
 			}
-			num := -math.Expm1(float64(int64(1)<<b) * lm)        // 1−p₀^(2^b)
-			den := miss * -math.Expm1(float64(int64(2)<<b) * lm) // (1−p₀)(1−p₀^(2^(b+1)))
+			num := -math.Expm1(float64(int64(1)<<b) * lm)      // 1−p₀^(2^b)
+			den := miss * -math.Expm1(float64(int64(2)<<b)*lm) // (1−p₀)(1−p₀^(2^(b+1)))
 			if den <= 0 {
 				break
 			}

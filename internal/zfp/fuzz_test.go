@@ -1,6 +1,7 @@
 package zfp
 
 import (
+	"context"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -95,12 +96,30 @@ func fuzzSeedMutations(valid [][]byte) [][]byte {
 	return out
 }
 
-func FuzzParse(f *testing.F) {
-	seeds := fuzzSeedStreams(f)
-	for _, s := range seeds {
-		f.Add(s)
+// fuzzSeedBounded adds streams spliced by the error-bounded path (a met
+// and an unmet bound) and a torn one. They come after the older seeds so
+// those keep their corpus file names.
+func fuzzSeedBounded(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, eb := range []float64{0.3, 1e-30} {
+		c, _, err := CompressBounded(context.Background(), smoothField(8, 42), eb, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, c.Bytes())
 	}
-	for _, s := range fuzzSeedMutations(seeds) {
+	return append(out, out[0][:len(out[0])-3])
+}
+
+// fuzzSeeds is the whole seed list, in corpus file order.
+func fuzzSeeds(tb testing.TB) [][]byte {
+	seeds := fuzzSeedStreams(tb)
+	return append(append(seeds, fuzzSeedMutations(seeds)...), fuzzSeedBounded(tb)...)
+}
+
+func FuzzParse(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -160,12 +179,11 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if !*updateFuzzCorpus {
 		t.Skip("run with -update-fuzz-corpus to rewrite the corpus")
 	}
-	seeds := fuzzSeedStreams(t)
 	dir := filepath.Join("testdata", "fuzz", "FuzzParse")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range append(seeds, fuzzSeedMutations(seeds)...) {
+	for i, s := range fuzzSeeds(t) {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
 		path := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {

@@ -28,8 +28,10 @@
 // into per-chunk bit buffers spliced back in block order, and a compression
 // can record per-block bit offsets (CompressIndexed) from which any
 // lower-rate stream, size, or reconstruction is derived without
-// recompressing — the basis of the codec adapter's single-pass error-bound
-// rate search.
+// recompressing — the basis of the error-bounded path (CompressBounded in
+// bounded.go). What a lower rate derives is a prefix of the bits, not a
+// smaller error: a block's max error is not monotone in its budget, so a
+// rate is known to meet a bound only once it has been checked.
 package zfp
 
 import (
@@ -400,13 +402,21 @@ func compress(f *grid.Field3D, opt Options, s *Scratch, wantIndex bool) (*Compre
 		defer scratchPool.Put(ps)
 		s = ps
 	}
-	budget := budgetOf(opt.Rate)
-	l := layoutOf(f.Nx, f.Ny, f.Nz)
-	n := l.blocks()
 	var starts []int
 	if wantIndex {
-		starts = make([]int, n+1) // retained by the Indexed
+		starts = make([]int, layoutOf(f.Nx, f.Ny, f.Nz).blocks()+1) // retained by the Indexed
 	}
+	payload := append([]byte(nil), encode(f, opt.Rate, starts, s)...)
+	return &Compressed{Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, Rate: opt.Rate, payload: payload}, starts, nil
+}
+
+// encode writes f's blocks at the rate into the scratch writer and returns
+// the stream, which s still owns (valid until s next compresses or
+// splices); starts, when non-nil, receives the per-block bit offsets.
+func encode(f *grid.Field3D, rate float64, starts []int, s *Scratch) []byte {
+	budget := budgetOf(rate)
+	l := layoutOf(f.Nx, f.Ny, f.Nz)
+	n := l.blocks()
 	w := s.writer(f.Len() / 2)
 	if n < minParallelBlocks || parallel.Limit() == 0 {
 		st := &s.st
@@ -423,8 +433,7 @@ func compress(f *grid.Field3D, opt Options, s *Scratch, wantIndex bool) (*Compre
 	} else {
 		compressChunked(w, f, l, budget, starts, s)
 	}
-	payload := append([]byte(nil), w.Bytes()...)
-	return &Compressed{Nx: f.Nx, Ny: f.Ny, Nz: f.Nz, Rate: opt.Rate, payload: payload}, starts, nil
+	return w.Bytes()
 }
 
 // compressChunked shards the block range into fixed-size chunks over the
@@ -537,8 +546,7 @@ func (st *blockState) encodeBlock(w *huffman.BitWriter, f *grid.Field3D, x0, y0,
 // then alternating group tests and zero-run+1 spans over the tail, the
 // whole stream cut off at the bit budget. The budget acts as a pure
 // truncation point — a smaller budget yields a strict prefix of a larger
-// budget's block stream, the property the single-pass rate search
-// (Indexed) is built on.
+// budget's block stream, the property Indexed is built on.
 func encodePlanes(w *huffman.BitWriter, planes *[blockSize]uint64, budget int) {
 	spent := 0
 	sigPrefix := 0
@@ -642,8 +650,7 @@ func (c *Compressed) decodeInto(out *grid.Field3D, budget int, s *Scratch) error
 // decodeChunked decodes blocks [0, layout.blocks()) concurrently given
 // their bit offsets. streamBudget is the budget the stream was encoded at
 // (bounding each block's stored bits); budget ≤ streamBudget is the budget
-// to decode at — smaller values reconstruct the lower-rate truncation, the
-// probe operation of the single-pass rate search.
+// to decode at — smaller values reconstruct the lower-rate truncation.
 func decodeChunked(out *grid.Field3D, payload []byte, l layout, streamBudget, budget int, starts []int) error {
 	n := l.blocks()
 	nChunks := (n + chunkBlocks - 1) / chunkBlocks
@@ -716,8 +723,8 @@ func (st *blockState) decodeBlock(r *huffman.BitReader, budget int) error {
 		return err
 	}
 	// Back to coefficient-major: a full matrix transpose pays off only when
-	// many planes were decoded; shallow decodes (low rates, the rate
-	// search's cheap probes) scatter their few set bits directly.
+	// many planes were decoded; shallow decodes (low rates, the error-bound
+	// search's early rounds) scatter their few set bits directly.
 	const scatterPlanes = 12
 	if visited <= scatterPlanes {
 		var coeffs [blockSize]uint64
@@ -910,19 +917,23 @@ func scatterBlock(f *grid.Field3D, x0, y0, z0 int, vals *[blockSize]float64) {
 }
 
 // Indexed is a compression carrying per-block bit accounting, produced by
-// CompressIndexed at the highest rate the caller will ever probe. Because
+// CompressIndexed at the highest rate the caller will ever derive. Because
 // the plane coder's budget is a pure truncation point — a block's bits at
 // budget B are exactly the first min(B, stored) bits of the same block at
 // any larger budget — one max-rate compression contains every lower-rate
-// stream as per-block prefixes, and the accounting turns the old
-// recompress-per-probe rate search into single-pass operations:
+// stream as per-block prefixes:
 //
 //   - PredictSize gives the exact compressed size at any lower rate from
 //     the length table alone;
-//   - DecompressAtRateInto reconstructs the field at any lower rate (what
-//     an error-bound search measures per probe);
+//   - DecompressAtRateInto reconstructs the field at any lower rate;
 //   - TruncateToRate splices the lower-rate stream itself, byte-identical
-//     to a direct Compress at that rate.
+//     to a direct Compress at that rate;
+//   - firstFailing judges a lower rate against an error bound block by
+//     block, without reconstructing the field (CompressBounded).
+//
+// The bits nest; the errors do not. Truncating a block deeper usually
+// shrinks its max error but not always, so nothing here may assume that a
+// rate meets a bound because a lower one did.
 type Indexed struct {
 	C *Compressed
 	// starts[b] is the absolute bit offset of block b in C's payload;
@@ -1020,8 +1031,8 @@ func (ix *Indexed) checkRate(rate float64) error {
 }
 
 // PredictSize returns the exact compressed size in bytes (header included)
-// of this field at the given rate — the probe-size prediction of the
-// single-pass rate search, computed from the accounting table alone.
+// of this field at the given rate, computed from the accounting table
+// alone.
 func (ix *Indexed) PredictSize(rate float64) (int, error) {
 	if err := ix.checkRate(rate); err != nil {
 		return 0, err
@@ -1083,14 +1094,18 @@ func (ix *Indexed) TruncateToRate(rate float64, s *Scratch) (*Compressed, error)
 		defer scratchPool.Put(ps)
 		s = ps
 	}
-	budget := budgetOf(rate)
 	c := ix.C
 	w := s.writer(len(c.payload))
-	for b := 0; b < len(ix.starts)-1; b++ {
-		w.AppendBitRange(c.payload, ix.starts[b], ix.blockBits(b, budget))
-	}
+	ix.spliceInto(w, budgetOf(rate))
 	payload := append([]byte(nil), w.Bytes()...)
 	return &Compressed{Nx: c.Nx, Ny: c.Ny, Nz: c.Nz, Rate: rate, payload: payload}, nil
+}
+
+// spliceInto appends every block's bit prefix at the budget to w.
+func (ix *Indexed) spliceInto(w *huffman.BitWriter, budget int) {
+	for b := 0; b < len(ix.starts)-1; b++ {
+		w.AppendBitRange(ix.C.payload, ix.starts[b], ix.blockBits(b, budget))
+	}
 }
 
 // Bytes serializes the compressed field.
