@@ -14,6 +14,7 @@ package repro
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +152,79 @@ func BenchmarkSZDecompress(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSZPartition measures SZ on the traffic the paper's method
+// produces: every 16³ partition of the 64³ density, each at its planned
+// bound, one after another through one reused scratch. A single large brick
+// (BenchmarkSZCompress) amortizes per-call costs that are paid 64 times per
+// field here, so ns and allocs are reported per partition.
+func BenchmarkSZPartition(b *testing.B) {
+	f := benchDensity(b)
+	eng, err := core.NewEngine(core.Config{PartitionDim: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cal, err := eng.Calibrate(context.Background(), f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := eng.Plan(context.Background(), f, cal, core.PlanOptions{AvgEB: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := grid.PartitionerForBrickDim(f.Nx, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts := p.Partitions()
+	bricks := make([][]float32, len(parts))
+	for i, part := range parts {
+		bricks[i] = grid.Extract(f, part)
+	}
+	var s sz.Scratch
+	compressAll := func() []*sz.Compressed {
+		out := make([]*sz.Compressed, len(parts))
+		for i, part := range parts {
+			nx, ny, nz := part.Dims()
+			c, err := sz.CompressSliceWith(bricks[i], nx, ny, nz,
+				sz.Options{Mode: sz.ABS, ErrorBound: plan.EBs[i]}, &s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out[i] = c
+		}
+		return out
+	}
+	perPartition := func(b *testing.B, run func()) {
+		run() // warm the scratch
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+		elapsed := time.Since(start)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		n := float64(b.N * len(parts))
+		b.ReportMetric(float64(elapsed.Nanoseconds())/n, "ns/partition")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/partition")
+	}
+	b.Run("compress", func(b *testing.B) {
+		perPartition(b, func() { compressAll() })
+	})
+	b.Run("decompress", func(b *testing.B) {
+		cs := compressAll()
+		perPartition(b, func() {
+			for _, c := range cs {
+				if _, err := sz.DecompressSlice(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	})
 }
 
 // benchHuffmanStream builds an SZ-shaped token stream at the canonical 64³

@@ -588,6 +588,41 @@ func TestSteadyStateAllocationFlat(t *testing.T) {
 	}
 }
 
+// TestSteadyStateDecodeAllocationFlat pins the decode side of the sz path:
+// once the pooled scratches are warm, a partition's decode retains only its
+// reconstruction. The entropy decoder's table build may not allocate per
+// call (a reflection-based sort of the code table used to cost three).
+func TestSteadyStateDecodeAllocationFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch; run without -race")
+	}
+	f := field(t, nyx.FieldBaryonDensity)
+	e := engine(t, Config{PartitionDim: 16})
+	cal, err := e.Calibrate(context.Background(), f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := e.Plan(context.Background(), f, cal, PlanOptions{AvgEB: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := e.CompressAdaptive(context.Background(), f, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		if _, err := cf.Decompress(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // warm the scratch pool
+	parts := len(cf.Parts)
+	if limit, allocs := float64(2*parts+32), testing.AllocsPerRun(3, decode); allocs > limit {
+		t.Errorf("steady-state Decompress: %.0f allocs for %d partitions (limit %.0f)",
+			allocs, parts, limit)
+	}
+}
+
 // TestSteadyStateAllocationFlatZFP pins the same contract for the zfp path,
 // whose per-partition work is far heavier: a max-rate indexed compression,
 // ~7 truncated probe decodes, and the spliced frame. With zfp.Scratch and

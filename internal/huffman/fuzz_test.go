@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -88,12 +89,73 @@ func fuzzSeedMutations(valid [][]byte) [][]byte {
 	return out
 }
 
+// reorderTable re-serializes a valid stream with its code table entries
+// rearranged by reorder. Canonical codes derive from (length, symbol), not
+// from table order, so any permutation of a valid table decodes the same.
+func reorderTable(tb testing.TB, stream []byte, reorder func([]symLen) []symLen) []byte {
+	tb.Helper()
+	count, n1 := binary.Uvarint(stream)
+	distinct, n2 := binary.Uvarint(stream[n1:])
+	rest := stream[n1+n2:]
+	entries := make([]symLen, distinct)
+	for i := range entries {
+		sym, ns := binary.Uvarint(rest)
+		if ns <= 0 || ns >= len(rest) {
+			tb.Fatal("reorderTable: input stream is not valid")
+		}
+		entries[i] = symLen{sym: int(sym), n: rest[ns]}
+		rest = rest[ns+1:]
+	}
+	entries = reorder(entries)
+	out := binary.AppendUvarint(nil, count)
+	out = binary.AppendUvarint(out, uint64(len(entries)))
+	for _, e := range entries {
+		out = binary.AppendUvarint(out, uint64(e.sym))
+		out = append(out, e.n)
+	}
+	return append(out, rest...)
+}
+
+// fuzzSeedTables are SZ-shaped streams: run tokens at 2·32768 + j above the
+// quantization codes, with the table stored sorted, reversed, rotated, and
+// reversed with one symbol overwritten by its neighbour's. The last keeps
+// the code lengths, so only the duplicate check can reject it.
+func fuzzSeedTables(tb testing.TB) [][]byte {
+	tb.Helper()
+	sym := make([]int, 600)
+	for i := range sym {
+		sym[i] = 32768 + i%5 - 2
+		if i%11 == 0 {
+			sym[i] = 65536 + 1 + i%6 // run tokens
+		}
+	}
+	sym[3], sym[599] = 0, szTopSym
+	enc, err := Compress(sym)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reversed := func(e []symLen) []symLen { slices.Reverse(e); return e }
+	return [][]byte{
+		enc,
+		reorderTable(tb, enc, reversed),
+		reorderTable(tb, enc, func(e []symLen) []symLen { return append(e[3:], e[:3]...) }),
+		reorderTable(tb, enc, func(e []symLen) []symLen {
+			e = reversed(e)
+			e[0].sym = e[1].sym
+			return e
+		}),
+	}
+}
+
 func FuzzDecompress(f *testing.F) {
 	seeds := fuzzSeedStreams(f)
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	for _, s := range fuzzSeedMutations(seeds) {
+		f.Add(s)
+	}
+	for _, s := range fuzzSeedTables(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -160,7 +222,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range append(seeds, fuzzSeedMutations(seeds)...) {
+	all := slices.Concat(seeds, fuzzSeedMutations(seeds), fuzzSeedTables(t))
+	for i, s := range all {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
 		path := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {

@@ -1,10 +1,11 @@
 package huffman
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // The coder is canonical: only code lengths are stored in the stream, and
@@ -12,11 +13,14 @@ import (
 // non-negative ints (SZ quantization indices after offsetting by the
 // quantization radius).
 //
-// The hot paths are table-driven. The SZ alphabet is small and contiguous
-// ([0, 2·radius) quantization codes plus a handful of RLE run tokens), so
-// the encoder counts frequencies and looks codes up in dense slices indexed
-// by symbol, and the decoder resolves codes ≤ lutBits bits with a single
-// peek into a first-level LUT, falling back to the canonical
+// The hot paths are table-driven. The SZ alphabet is 2·radius + 41 wide
+// (65 577 at the default radius): [0, 2·radius) quantization codes, then the
+// RLE run tokens at the top. A 16³ partition codes at most 4 096 tokens, so
+// the alphabet is 16× the stream: dense slices indexed by symbol are fine
+// for lookups, but no per-call work may walk them. The encoder counts into a
+// dense table while collecting the symbols present, and only those entries
+// are visited afterwards; the decoder resolves codes ≤ lutBits bits with a
+// single peek into a first-level LUT, falling back to the canonical
 // firstCode/count scan only for long codes. Both sides move the bitstream
 // through a 64-bit accumulator instead of per-bit calls.
 
@@ -70,6 +74,7 @@ type heapNode struct {
 type Scratch struct {
 	freq  []int64   // dense frequency table, indexed by symbol
 	codes []code    // dense code table, indexed by symbol
+	syms  []int     // present symbols, collected as counted, then sorted
 	pairs []symFreq // present symbols, ascending
 	work  []int64   // flattened frequencies for boundedCodeLengths retries
 	lens  []uint8   // per-pair code lengths
@@ -82,11 +87,12 @@ type Scratch struct {
 	decOut  []int
 }
 
-func (s *Scratch) pairBuf(n int) []symFreq {
-	if cap(s.pairs) < n {
-		s.pairs = make([]symFreq, 0, n)
+// reuse returns buf emptied, with capacity for at least n elements.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
 	}
-	return s.pairs[:0]
+	return buf[:0]
 }
 
 // codeLengthsInto runs the Huffman algorithm over the present symbols and
@@ -298,23 +304,29 @@ func CompressWith(symbols []int, s *Scratch) ([]byte, error) {
 	var pairs []symFreq
 	dense := maxSym < denseLimit
 	if dense {
-		// The frequency table is kept all-zero between calls (the pair
-		// scan below re-zeroes exactly the entries this call touched), so
-		// reuse needs no O(alphabet) clear.
+		// Symbols are collected as they first appear, so the work is
+		// proportional to the stream, never to the alphabet. The frequency
+		// table is kept all-zero between calls: only the collected entries
+		// were touched, and only they are re-zeroed.
 		if cap(s.freq) < maxSym+1 {
 			s.freq = make([]int64, maxSym+1)
 		}
 		freq := s.freq[:maxSym+1]
+		syms := reuse(s.syms, min(len(symbols), maxSym+1))
 		for _, v := range symbols {
-			freq[v]++
-		}
-		pairs = s.pairBuf(maxSym + 1)
-		for sym, f := range freq {
-			if f > 0 {
-				pairs = append(pairs, symFreq{sym: sym, freq: f})
-				freq[sym] = 0
+			f := freq[v]
+			if f == 0 {
+				syms = append(syms, v)
 			}
+			freq[v] = f + 1
 		}
+		slices.Sort(syms)
+		pairs = reuse(s.pairs, len(syms))
+		for _, sym := range syms {
+			pairs = append(pairs, symFreq{sym: sym, freq: freq[sym]})
+			freq[sym] = 0
+		}
+		s.syms = syms
 	} else {
 		// Cold fallback for absurd alphabets (hostile radius settings):
 		// identical stream, map-backed tables.
@@ -322,11 +334,11 @@ func CompressWith(symbols []int, s *Scratch) ([]byte, error) {
 		for _, v := range symbols {
 			m[v]++
 		}
-		pairs = s.pairBuf(len(m))
+		pairs = reuse(s.pairs, len(m))
 		for sym, f := range m {
 			pairs = append(pairs, symFreq{sym: sym, freq: f})
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].sym < pairs[j].sym })
+		slices.SortFunc(pairs, func(a, b symFreq) int { return cmp.Compare(a.sym, b.sym) })
 	}
 	s.pairs = pairs
 
@@ -417,71 +429,66 @@ type decodeTable struct {
 }
 
 // build (re)initialises the table from parsed entries, reusing the symbol
-// and LUT storage of a previous build.
+// and LUT storage of a previous build. Canonical order is (length, symbol):
+// entries in ascending symbol order are bucketed by length, stably, in
+// O(len(entries)).
 func (t *decodeTable) build(entries []symLen) error {
-	// Sort by (length, symbol); duplicate symbols make the table ambiguous.
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].n != entries[j].n {
-			return entries[i].n < entries[j].n
-		}
-		return entries[i].sym < entries[j].sym
-	})
-	t.maxLen = 0
+	// Legit streams store the table in ascending symbol order. The format
+	// does not forbid other orders, so sort those; either way, equal
+	// neighbours are duplicate symbols, which make decoding ambiguous.
+	bySym := func(a, b symLen) int { return cmp.Compare(a.sym, b.sym) }
+	if !slices.IsSortedFunc(entries, bySym) {
+		slices.SortFunc(entries, bySym)
+	}
 	clear(t.count[:])
+	for i, e := range entries {
+		if e.n == 0 || e.n > maxCodeLen || i > 0 && e.sym == entries[i-1].sym {
+			return ErrCorruptTable
+		}
+		t.count[e.n]++
+	}
+	// Per-length first code and first index; Kraft check: the codes of
+	// each length must fit in that many bits.
+	t.maxLen = 0
+	var c uint64
+	var idx int32
+	for n := 1; n <= maxCodeLen; n++ {
+		c = (c + uint64(t.count[n-1])) << 1
+		t.firstCode[n], t.firstIdx[n] = c, idx
+		idx += t.count[n]
+		if c+uint64(t.count[n]) > 1<<uint(n) {
+			return ErrCorruptTable
+		}
+		if t.count[n] > 0 {
+			t.maxLen = n
+		}
+	}
 	if cap(t.symbols) < len(entries) {
 		t.symbols = make([]int, len(entries))
 	}
 	t.symbols = t.symbols[:len(entries)]
-	var c uint64
-	prevLen := 0
-	for i, e := range entries {
-		n := int(e.n)
-		if n <= 0 || n > maxCodeLen {
-			return ErrCorruptTable
-		}
-		c <<= uint(n - prevLen)
-		if t.count[n] == 0 {
-			t.firstCode[n] = c
-			t.firstIdx[n] = int32(i)
-		}
-		t.count[n]++
-		t.symbols[i] = e.sym
-		if n > t.maxLen {
-			t.maxLen = n
-		}
-		c++
-		prevLen = n
-		// Kraft check: code must fit in n bits.
-		if c > (1 << uint(n)) {
-			return ErrCorruptTable
-		}
+	next := t.firstIdx
+	for _, e := range entries {
+		t.symbols[next[e.n]] = e.sym
+		next[e.n]++
 	}
-	t.peek = uint(t.maxLen)
-	if t.peek > lutBits {
-		t.peek = lutBits
-	}
+	t.peek = uint(min(t.maxLen, lutBits))
 	if cap(t.lut) < 1<<t.peek {
 		t.lut = make([]uint32, 1<<t.peek)
 	} else {
 		t.lut = t.lut[:1<<t.peek]
 		clear(t.lut)
 	}
-	c = 0
-	prevLen = 0
-	for i, e := range entries {
-		n := int(e.n)
-		c <<= uint(n - prevLen)
-		if uint(n) <= t.peek {
-			base := c << (t.peek - uint(n))
-			span := uint64(1) << (t.peek - uint(n))
-			entry := uint32(i)<<6 | uint32(n)
+	for n := uint(1); n <= t.peek; n++ {
+		span := uint64(1) << (t.peek - n)
+		for k := int32(0); k < t.count[n]; k++ {
+			base := (t.firstCode[n] + uint64(k)) << (t.peek - n)
+			entry := uint32(t.firstIdx[n]+k)<<6 | uint32(n)
 			fill := t.lut[base : base+span]
 			for j := range fill {
 				fill[j] = entry
 			}
 		}
-		c++
-		prevLen = n
 	}
 	return nil
 }
@@ -527,8 +534,6 @@ func decompress(data []byte, s *Scratch) ([]int, error) {
 	} else {
 		entries = make([]symLen, 0, distinct)
 	}
-	sorted := true
-	prevSym := -1
 	for i := uint64(0); i < distinct; i++ {
 		sym, ns := binary.Uvarint(data)
 		if ns <= 0 || ns >= len(data)+1 {
@@ -540,25 +545,9 @@ func decompress(data []byte, s *Scratch) ([]int, error) {
 		}
 		entries = append(entries, symLen{sym: int(sym), n: data[0]})
 		data = data[1:]
-		if int(sym) <= prevSym {
-			sorted = false
-		}
-		prevSym = int(sym)
 	}
 	if s != nil {
 		s.entries = entries
-	}
-	if !sorted {
-		// Legit streams store the table in ascending symbol order; accept
-		// unsorted tables (the format does not forbid them) but reject
-		// duplicate symbols, which make decoding ambiguous.
-		seen := make(map[int]struct{}, len(entries))
-		for _, e := range entries {
-			if _, dup := seen[e.sym]; dup {
-				return nil, ErrCorruptTable
-			}
-			seen[e.sym] = struct{}{}
-		}
 	}
 	var local decodeTable
 	t := &local

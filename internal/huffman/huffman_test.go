@@ -2,7 +2,9 @@ package huffman
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +189,35 @@ func TestDecompressRejectsCorruptStreams(t *testing.T) {
 	}
 	if _, err := Decompress([]byte{0}); err == nil {
 		t.Fatal("trivial stream accepted")
+	}
+}
+
+// TestDecompressUnsortedTables: the format does not require the stored
+// table in symbol order, so a reordered table must decode exactly like the
+// sorted one, a duplicated symbol must be rejected, and neither may cost
+// the reused-scratch decoder an allocation.
+func TestDecompressUnsortedTables(t *testing.T) {
+	seeds := fuzzSeedTables(t)
+	sorted, dup := seeds[0], seeds[len(seeds)-1]
+	want, err := Decompress(sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Scratch
+	for i, enc := range seeds[1 : len(seeds)-1] {
+		got, err := DecompressWith(enc, &s)
+		if err != nil {
+			t.Fatalf("reordered table %d: %v", i, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("reordered table %d decodes differently", i)
+		}
+		if a := testing.AllocsPerRun(10, func() { _, _ = DecompressWith(enc, &s) }); a != 0 {
+			t.Errorf("reordered table %d: %.0f allocs per reused-scratch decode", i, a)
+		}
+	}
+	if _, err := DecompressWith(dup, &s); !errors.Is(err, ErrCorruptTable) {
+		t.Fatalf("duplicated symbol in an unsorted table: got %v, want ErrCorruptTable", err)
 	}
 }
 

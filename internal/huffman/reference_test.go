@@ -287,6 +287,62 @@ func TestDifferentialSparseAlphabet(t *testing.T) {
 	diffStream(t, "sparse-single", one)
 }
 
+// szTopSym is the highest symbol SZ emits at the default radius: the run
+// token of exponent 40, at 2·32768 + 40.
+const szTopSym = 65576
+
+func TestDifferentialAlphabetEnds(t *testing.T) {
+	// Only the two ends of the SZ alphabet are present: the dense table
+	// spans 65 577 entries for a handful of tokens.
+	diffStream(t, "ends", []int{0, szTopSym, szTopSym, 0, szTopSym})
+	diffStream(t, "top-only", []int{szTopSym})
+	skew := make([]int, 4096)
+	skew[4095] = szTopSym
+	diffStream(t, "ends-skewed", skew)
+}
+
+// TestScratchAcrossAlphabets reuses one Scratch for a wide alphabet, a
+// narrow one, then the wide one again. Each stream must equal a fresh
+// encode, and the frequency table must be all-zero after every call, since
+// the encoder relies on that instead of clearing it.
+func TestScratchAcrossAlphabets(t *testing.T) {
+	r := stats.NewRNG(25)
+	wide := make([]int, 4096)
+	for i := range wide {
+		wide[i] = 32768 + r.Intn(9) - 4
+		if i%97 == 0 {
+			wide[i] = 65537 + r.Intn(12) // run tokens
+		}
+	}
+	wide[17] = szTopSym
+	narrow := make([]int, 3000)
+	for i := range narrow {
+		narrow[i] = r.Intn(300)
+	}
+	var s Scratch
+	for i, sym := range [][]int{wide, narrow, wide} {
+		fresh, err := CompressWith(sym, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CompressWith(sym, &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, fresh) {
+			t.Fatalf("call %d: reused scratch diverged from a fresh encode", i)
+		}
+		if want, _ := refCompress(sym); !bytes.Equal(got, want) {
+			t.Fatalf("call %d: stream diverged from the reference", i)
+		}
+		for sym, f := range s.freq[:cap(s.freq)] {
+			if f != 0 {
+				t.Fatalf("call %d: freq[%d] = %d left behind", i, sym, f)
+			}
+		}
+	}
+}
+
 func TestDifferentialScratchReuse(t *testing.T) {
 	// One Scratch across wildly different streams must not leak state
 	// between calls (dense tables shrink and grow, lengths change).

@@ -242,7 +242,9 @@ func predictThenQuantize(data []float32, nx, ny, nz int, eb float64, opt Options
 		diff := v - pred
 		q := int(math.Floor(diff/twoEB + 0.5))
 		if q > -radius && q < radius {
-			dec := pred + twoEB*float64(q)
+			// The explicit conversion rounds the product, so no
+			// architecture fuses it into an FMA the decoder may not match.
+			dec := pred + float64(twoEB*float64(q))
 			// Float rounding can push the reconstruction just past the
 			// bound; verify like SZ does.
 			if math.Abs(float64(float32(dec))-v) <= eb {
@@ -311,7 +313,7 @@ func predictThenQuantize(data []float32, nx, ny, nz int, eb float64, opt Options
 				v := float64(drow[x])
 				q := int(math.Floor((v-pred)/twoEB + 0.5))
 				if q > -radius && q < radius {
-					dec := pred + twoEB*float64(q)
+					dec := pred + float64(twoEB*float64(q))
 					decF := float32(dec)
 					decR := float64(decF)
 					if math.Abs(decR-v) <= eb {

@@ -85,7 +85,8 @@ func reconstructDirect(symbols []int, c *Compressed, eb float64) ([]float32, err
 			return nil
 		}
 		pred := predict(recon, nx, ny, x, y, z, idx, c.Opt.Predictor)
-		recon[idx] = float32(pred + twoEB*float64(s-radius))
+		// Unfused like the encoder (see predictThenQuantize).
+		recon[idx] = float32(pred + float64(twoEB*float64(s-radius)))
 		return nil
 	}
 
@@ -157,7 +158,7 @@ func reconstructDirect(symbols []int, c *Compressed, eb float64) ([]float32, err
 				fyz := float64(pyz[x])
 				fxyz := float64(pyz[x-1])
 				pred := prev + fy + fz - fxy - fxz - fyz + fxyz
-				r := float32(pred + twoEB*float64(s-radius))
+				r := float32(pred + float64(twoEB*float64(s-radius)))
 				cur[x] = r
 				prev = float64(r)
 			}

@@ -1,6 +1,10 @@
 package sz
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // Run-length layer between quantization and Huffman coding.
 //
@@ -47,19 +51,16 @@ func rleEncodeInto(out, symbols []int, hitSym, runBase int) []int {
 		for j < len(symbols) && symbols[j] == hitSym {
 			j++
 		}
+		// One token per set bit of the run length, highest first; bit 0 is
+		// a lone hit symbol.
 		run := j - i
-		if run == 1 {
+		for r := uint(run) &^ 1; r != 0; {
+			exp := bits.Len(r) - 1
+			out = append(out, runBase+exp)
+			r &^= 1 << exp
+		}
+		if run&1 == 1 {
 			out = append(out, hitSym)
-		} else {
-			for exp := maxRunExp; exp >= 1; exp-- {
-				if run >= 1<<exp {
-					out = append(out, runBase+exp)
-					run -= 1 << exp
-				}
-			}
-			if run == 1 {
-				out = append(out, hitSym)
-			}
 		}
 		i = j
 	}
@@ -90,8 +91,10 @@ func rleDecodeInto(out, tokens []int, hitSym, runBase, n int) ([]int, error) {
 				return nil, fmt.Errorf("sz: run token overflows output (%d+%d > %d)",
 					len(out), run, n)
 			}
-			for k := 0; k < run; k++ {
-				out = append(out, hitSym)
+			out = slices.Grow(out, run)[:len(out)+run]
+			fill := out[len(out)-run:]
+			for k := range fill {
+				fill[k] = hitSym
 			}
 		default:
 			return nil, fmt.Errorf("sz: token %d outside alphabet", tok)

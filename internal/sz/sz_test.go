@@ -309,6 +309,9 @@ func TestRLEDecodeErrors(t *testing.T) {
 	if _, err := rleDecode([]int{base + maxRunExp + 1}, hit, base, 4); err == nil {
 		t.Error("out-of-alphabet token accepted")
 	}
+	if _, err := rleDecode([]int{base}, hit, base, 1); err == nil {
+		t.Error("run token of exponent 0 accepted")
+	}
 	if _, err := rleDecode([]int{base + 1, base + 1}, hit, base, 3); err == nil {
 		t.Error("overflowing run accepted")
 	}
