@@ -91,15 +91,6 @@ func WithPredictor(p codecs.Predictor) Option {
 	}
 }
 
-// WithQuantizeBeforePredict selects the GPU-SZ (cuSZ) formulation.
-func WithQuantizeBeforePredict(v bool) Option {
-	return func(c *config) error {
-		c.engine.QuantizeBeforePredict = v
-		c.engineOnly("WithQuantizeBeforePredict")
-		return nil
-	}
-}
-
 // WithClampFactor sets the optimizer's error-bound box k: each planned
 // bound is clamped to [avg/k, k·avg] (default 4, the paper's choice).
 func WithClampFactor(k float64) Option {

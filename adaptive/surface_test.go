@@ -57,7 +57,6 @@ func TestFacadeSurface(t *testing.T) {
 		adaptive.WithCodec("sz"),
 		adaptive.WithMode(codecs.ABS),
 		adaptive.WithPredictor(codecs.Lorenzo3D),
-		adaptive.WithQuantizeBeforePredict(false),
 		adaptive.WithClampFactor(4),
 		adaptive.WithStrategy(adaptive.EqualDerivative),
 		adaptive.WithCalibration(adaptive.CalibrationOptions{Partitions: 8, Mode: adaptive.ModelScan}),

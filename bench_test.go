@@ -98,7 +98,6 @@ func BenchmarkSec43Overhead(b *testing.B)               { benchExperiment(b, "se
 
 // Ablation benches (design-choice studies; see README.md).
 func BenchmarkAblationPredictor(b *testing.B)         { benchExperiment(b, "ablation-predictor") }
-func BenchmarkAblationQuantPlacement(b *testing.B)    { benchExperiment(b, "ablation-quant") }
 func BenchmarkAblationClamp(b *testing.B)             { benchExperiment(b, "ablation-clamp") }
 func BenchmarkAblationOptimizationOrder(b *testing.B) { benchExperiment(b, "ablation-strategy") }
 func BenchmarkAblationCmSource(b *testing.B)          { benchExperiment(b, "ablation-cm") }

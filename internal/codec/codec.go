@@ -85,8 +85,6 @@ type Options struct {
 	Rate float64
 	// Predictor selects the prediction scheme (prediction-based codecs).
 	Predictor Predictor
-	// QuantizeBeforePredict selects the GPU-SZ (cuSZ) formulation.
-	QuantizeBeforePredict bool
 	// Radius overrides the quantization radius when > 0 (SZ).
 	Radius int
 	// Telemetry, when non-nil, is filled by the codec with introspection

@@ -52,7 +52,6 @@ func TestRoundTripThroughInterface(t *testing.T) {
 		bound float64
 	}{
 		{SZ, Options{ErrorBound: 0.01}, 0.01},
-		{SZ, Options{ErrorBound: 0.01, QuantizeBeforePredict: true}, 0.01},
 		{SZ, Options{ErrorBound: 0.01, Predictor: MeanNeighbor}, 0.01},
 		{ZFP, Options{Rate: 16}, 0.1},
 	}
@@ -230,7 +229,7 @@ func TestScratchReuse(t *testing.T) {
 	var s Scratch
 	for _, opt := range []Options{
 		{ErrorBound: 0.01},
-		{ErrorBound: 0.3, QuantizeBeforePredict: true},
+		{ErrorBound: 0.3, Predictor: MeanNeighbor},
 		{ErrorBound: 0.001, Mode: PWREL},
 	} {
 		pooled, err := c.Compress(data, nx, ny, nz, opt, &s)

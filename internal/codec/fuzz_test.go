@@ -3,6 +3,7 @@ package codec
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,10 +96,44 @@ func fuzzSeedBounded(tb testing.TB) [][]byte {
 	return append(out, out[0][:len(out[0])-5])
 }
 
+// fuzzSeedLattice adds sz frames from the integer-lattice encoder: one
+// with NaN outliers and one with ±Inf outliers (their lattice coordinate is
+// the explicit math.MinInt64 every neighbour's prediction reads), and a
+// legacy frame, lattice-coded with the predictor byte saying MeanNeighbor,
+// as MeanNeighbor requests with quantize-before-predict set were once
+// written. They come after the older seeds.
+func fuzzSeedLattice(tb testing.TB) [][]byte {
+	tb.Helper()
+	c, err := Lookup(SZ)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	compress := func(specials ...float32) []byte {
+		data := make([]float32, 5*4*3)
+		for i := range data {
+			data[i] = float32(i%5)*0.3 - 0.5
+		}
+		for i, v := range specials {
+			data[7+13*i] = v
+		}
+		fr, err := c.Compress(data, 5, 4, 3, Options{ErrorBound: 0.1}, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return EncodeFrame(fr)
+	}
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	legacy := compress()
+	legacy[frameFixedBytes+len(SZ)+6] = byte(MeanNeighbor) // sz header: predictor byte
+	return [][]byte{compress(nan, nan), compress(inf, -inf, inf), legacy}
+}
+
 // fuzzSeeds is the whole seed list, in corpus file order.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	seeds := fuzzSeedFrames(tb)
-	return append(append(seeds, fuzzSeedMutations(seeds)...), fuzzSeedBounded(tb)...)
+	seeds = append(append(seeds, fuzzSeedMutations(seeds)...), fuzzSeedBounded(tb)...)
+	return append(seeds, fuzzSeedLattice(tb)...)
 }
 
 func FuzzDecodeFrame(f *testing.F) {
@@ -131,7 +166,9 @@ func FuzzDecodeFrame(f *testing.F) {
 }
 
 // TestWriteFuzzCorpus materializes the seed corpus as files in Go's corpus
-// format so the seeds survive in git, not only in f.Add calls.
+// format so the seeds survive in git, not only in f.Add calls. Existing
+// seed files are never rewritten: they keep frames older encoders wrote
+// (seed-000 is a reconstructed-value sz frame), which stay valid inputs.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if !*updateFuzzCorpus {
 		t.Skip("run with -update-fuzz-corpus to rewrite the corpus")
@@ -140,7 +177,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 }
 
 // writeFuzzCorpus writes byte seeds in the `go test fuzz v1` corpus file
-// format (shared helper; also used by internal/core's harness via copy).
+// format, skipping files that exist (shared helper; also used by
+// internal/core's harness via copy).
 func writeFuzzCorpus(t *testing.T, fuzzName string, seeds [][]byte) {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", fuzzName)
@@ -150,6 +188,9 @@ func writeFuzzCorpus(t *testing.T, fuzzName string, seeds [][]byte) {
 	for i, s := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
 		path := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
+		if _, err := os.Stat(path); err == nil {
+			continue
+		}
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}

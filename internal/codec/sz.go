@@ -90,11 +90,10 @@ func (szCodec) Parse(body []byte) (Frame, error) {
 // are value-compatible by construction (see the Mode/Predictor constants).
 func szOptions(opt Options) sz.Options {
 	return sz.Options{
-		Mode:                  sz.Mode(opt.Mode),
-		ErrorBound:            opt.ErrorBound,
-		Radius:                opt.Radius,
-		Predictor:             sz.Predictor(opt.Predictor),
-		QuantizeBeforePredict: opt.QuantizeBeforePredict,
+		Mode:       sz.Mode(opt.Mode),
+		ErrorBound: opt.ErrorBound,
+		Radius:     opt.Radius,
+		Predictor:  sz.Predictor(opt.Predictor),
 	}
 }
 

@@ -52,8 +52,6 @@ type Config struct {
 	Mode codec.Mode
 	// Predictor forwards to prediction-based codecs (default Lorenzo3D).
 	Predictor codec.Predictor
-	// QuantizeBeforePredict forwards to the compressor (GPU-SZ style).
-	QuantizeBeforePredict bool
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
 	// ClampFactor is the optimizer's error-bound box (default 4).
@@ -143,10 +141,9 @@ func (e *Engine) partitioner(f *grid.Field3D) (*grid.Partitioner, error) {
 // directly).
 func (e *Engine) codecOptions(eb float64) codec.Options {
 	return codec.Options{
-		Mode:                  e.cfg.Mode,
-		ErrorBound:            eb,
-		Predictor:             e.cfg.Predictor,
-		QuantizeBeforePredict: e.cfg.QuantizeBeforePredict,
+		Mode:       e.cfg.Mode,
+		ErrorBound: eb,
+		Predictor:  e.cfg.Predictor,
 	}
 }
 

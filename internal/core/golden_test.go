@@ -21,12 +21,16 @@ import (
 // PRs — a change that re-encodes differently is visible (the writer check),
 // and a change that decodes differently is a regression (the reader check).
 //
-// Regenerate with:
+// Regenerate the live fixtures with:
 //
 //	go test ./internal/core -run TestGolden -update-golden
 //
 // and commit the new fixtures together with the format change that
-// motivated them.
+// motivated them. Frozen fixtures (golden_sz.* and golden_stream.*) hold
+// reconstructed-value (flag-0) SZ frames, which no current encoder writes:
+// they are the decode contract for archives written before the integer
+// lattice became the only Lorenzo encoder, and -update-golden leaves them
+// alone.
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden archive fixtures")
 
 // goldenField is a small fully deterministic field (no RNG, no FFT): a
@@ -58,10 +62,12 @@ func goldenPath(t *testing.T, name string) string {
 	return filepath.Join("testdata", name)
 }
 
+// writeOrReadGolden reads a fixture, first rewriting it from gen under
+// -update-golden. A nil gen marks a frozen fixture.
 func writeOrReadGolden(t *testing.T, name string, gen func() []byte) []byte {
 	t.Helper()
 	path := goldenPath(t, name)
-	if *updateGolden {
+	if *updateGolden && gen != nil {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -85,13 +91,23 @@ func float32le(xs []float32) []byte {
 }
 
 // TestGoldenArchiveV2 pins the single-field archive format for both
-// backends: the committed fixture must decode bit-exactly to the committed
+// backends: each committed fixture must decode bit-exactly to the committed
 // reconstruction, and re-encoding the parsed archive must reproduce the
-// fixture byte for byte.
+// fixture byte for byte. A live fixture must also equal a fresh
+// compression of the golden field, so any change to the bytes today's
+// encoders write fails here.
 func TestGoldenArchiveV2(t *testing.T) {
-	for _, id := range []codec.ID{codec.SZ, codec.ZFP} {
-		t.Run(string(id), func(t *testing.T) {
-			e := engine(t, Config{PartitionDim: 8, Codec: id})
+	for _, tc := range []struct {
+		name string
+		id   codec.ID
+		live bool
+	}{
+		{"sz", codec.SZ, false}, // frozen: reconstructed-value Lorenzo frames
+		{"zfp", codec.ZFP, true},
+		{"sz_lattice", codec.SZ, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := engine(t, Config{PartitionDim: 8, Codec: tc.id})
 			compress := func() *CompressedField {
 				cf, err := e.CompressStatic(context.Background(), goldenField(), 0.05)
 				if err != nil {
@@ -99,22 +115,32 @@ func TestGoldenArchiveV2(t *testing.T) {
 				}
 				return cf
 			}
-			archive := writeOrReadGolden(t, fmt.Sprintf("golden_%s.acfd", id),
-				func() []byte { return compress().Bytes() })
-			expect := writeOrReadGolden(t, fmt.Sprintf("golden_%s.f32", id), func() []byte {
-				recon, err := compress().Decompress(context.Background())
-				if err != nil {
-					t.Fatal(err)
+			var genArchive, genExpect func() []byte
+			if tc.live {
+				genArchive = func() []byte { return compress().Bytes() }
+				genExpect = func() []byte {
+					recon, err := compress().Decompress(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					return float32le(recon.Data)
 				}
-				return float32le(recon.Data)
-			})
+			}
+			archive := writeOrReadGolden(t, fmt.Sprintf("golden_%s.acfd", tc.name), genArchive)
+			expect := writeOrReadGolden(t, fmt.Sprintf("golden_%s.f32", tc.name), genExpect)
 
+			if tc.live {
+				if got := compress().Bytes(); !bytes.Equal(got, archive) {
+					t.Errorf("a fresh compression differs from the fixture in %d of %d bytes",
+						diffCount(got, archive), len(archive))
+				}
+			}
 			cf, err := ParseCompressedField(archive)
 			if err != nil {
 				t.Fatalf("fixture no longer parses: %v", err)
 			}
-			if cf.Codec != id {
-				t.Errorf("fixture codec %q, want %q", cf.Codec, id)
+			if cf.Codec != tc.id {
+				t.Errorf("fixture codec %q, want %q", cf.Codec, tc.id)
 			}
 			if got := cf.Bytes(); !bytes.Equal(got, archive) {
 				t.Errorf("re-encoding the fixture changed %d of %d bytes",
@@ -131,7 +157,7 @@ func TestGoldenArchiveV2(t *testing.T) {
 			// The fixture's reconstruction must also still honor the bound
 			// it was written at (sz guarantees it; zfp's search is best
 			// effort but pinned by the golden bytes above).
-			if id == codec.SZ {
+			if tc.id == codec.SZ {
 				orig := goldenField()
 				for i := range orig.Data {
 					if d := math.Abs(float64(orig.Data[i]) - float64(recon.Data[i])); d > 0.05*(1+1e-6) {
@@ -145,53 +171,13 @@ func TestGoldenArchiveV2(t *testing.T) {
 
 // TestGoldenStreamV3 pins the multi-snapshot stream container: a 3-step,
 // two-field (mixed-codec!) fixture must keep its index and keep decoding
-// bit-exactly.
+// bit-exactly. The fixture is frozen: its sz field holds reconstructed-value
+// (flag-0) frames, and it was written by the steps goldenStep builds, each
+// compressed at a 0.05 bound with 8³ partitions by both backends.
 func TestGoldenStreamV3(t *testing.T) {
-	szEng := engine(t, Config{PartitionDim: 8, Codec: codec.SZ})
-	zfpEng := engine(t, Config{PartitionDim: 8, Codec: codec.ZFP})
 	const steps = 3
-
-	buildStep := func(step int) map[string]*CompressedField {
-		f := goldenStep(step)
-		a, err := szEng.CompressStatic(context.Background(), f, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := zfpEng.CompressStatic(context.Background(), f, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return map[string]*CompressedField{"density_sz": a, "density_zfp": b}
-	}
-	stream := writeOrReadGolden(t, "golden_stream.acs", func() []byte {
-		var buf bytes.Buffer
-		sw, err := NewStreamWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < steps; s++ {
-			if err := sw.WriteStep(buildStep(s)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	})
-	expect := writeOrReadGolden(t, "golden_stream.f32", func() []byte {
-		var out []byte
-		for s := 0; s < steps; s++ {
-			for _, name := range []string{"density_sz", "density_zfp"} {
-				recon, err := buildStep(s)[name].Decompress(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, float32le(recon.Data)...)
-			}
-		}
-		return out
-	})
+	stream := writeOrReadGolden(t, "golden_stream.acs", nil)
+	expect := writeOrReadGolden(t, "golden_stream.f32", nil)
 
 	sr, err := OpenStream(bytes.NewReader(stream), int64(len(stream)))
 	if err != nil {

@@ -67,29 +67,6 @@ func AblationPredictor(ctx *Context) (*Result, error) {
 	return res, nil
 }
 
-// AblationQuantPlacement compares CPU-SZ (predict-then-quantize) against
-// GPU-SZ (quantize-then-predict), which Sec. 3.2 argues behave identically.
-func AblationQuantPlacement(ctx *Context) (*Result, error) {
-	res := &Result{
-		ID:    "ablation-quant",
-		Title: "Ablation: quantization placement (baryon density)",
-		Cols:  []string{"formulation", "adaptive", "static", "improvement"},
-	}
-	for _, qbp := range []bool{false, true} {
-		name := "predict-then-quantize (CPU-SZ)"
-		if qbp {
-			name = "quantize-then-predict (GPU-SZ)"
-		}
-		a, s, err := ablate(ctx, core.Config{QuantizeBeforePredict: qbp})
-		if err != nil {
-			return nil, err
-		}
-		res.AddRow(name, fnum(a), fnum(s), fmt.Sprintf("%+.1f%%", (a/s-1)*100))
-	}
-	res.Notef("the two formulations produce (near-)identical rates — the paper's Sec. 3.2 equivalence")
-	return res, nil
-}
-
 // AblationClamp sweeps the error-bound clamp factor around the paper's ×4.
 func AblationClamp(ctx *Context) (*Result, error) {
 	res := &Result{

@@ -307,7 +307,7 @@ func TestSec43OverheadSmall(t *testing.T) {
 
 func TestRemainingExperimentsRun(t *testing.T) {
 	for _, id := range []string{"fig04", "fig17", "ablation-predictor",
-		"ablation-quant", "ablation-clamp", "ablation-strategy", "ablation-cm"} {
+		"ablation-clamp", "ablation-strategy", "ablation-cm"} {
 		runExperiment(t, id)
 	}
 }

@@ -16,10 +16,15 @@ type Compressed struct {
 	Nx, Ny, Nz int
 	Opt        Options
 
+	// lattice is the stored flag bit0: set when the integer-lattice Lorenzo
+	// encoder (quantizeThenPredict) produced the code stream, clear for the
+	// reconstructed-value predictor. Every new Lorenzo3D frame sets it; the
+	// decoder dispatches on it, so flag-0 frames keep decoding.
+	lattice bool
 	// codeStream is the Huffman-coded, RLE-expanded quantization stream.
 	codeStream []byte
-	// outliers are the verbatim values (ABS mode) or lattice coordinates
-	// (pre-quantized mode) of unpredictable points, in encounter order.
+	// outliers are the verbatim (possibly log-transformed) fp32 values of
+	// unpredictable points, in encounter order.
 	outliers []byte
 	// logShift is the PW_REL transform offset (0 in ABS mode).
 	logShift float64
@@ -57,7 +62,6 @@ type Scratch struct {
 	lattice  []int64
 	tokens   []int
 	outliers []byte
-	verbatim []bool
 	huff     huffman.Scratch
 }
 
@@ -87,19 +91,6 @@ func (s *Scratch) latticeBuf(n int) []int64 {
 		s.lattice = make([]int64, n)
 	}
 	return s.lattice[:n]
-}
-
-// verbatimBuf returns the reusable outlier-position flags, cleared. Unlike
-// the lattice (every cell of which is written before it is read), stale
-// true flags would survive reuse, so this buffer is zeroed.
-func (s *Scratch) verbatimBuf(n int) []bool {
-	if cap(s.verbatim) < n {
-		s.verbatim = make([]bool, n)
-		return s.verbatim[:n]
-	}
-	v := s.verbatim[:n]
-	clear(v)
-	return v
 }
 
 // outlierBuf returns the reusable outlier accumulator, reset to length 0.
@@ -155,8 +146,9 @@ func CompressSliceWith(data []float32, nx, ny, nz int, opt Options, s *Scratch) 
 
 	var symbols []int
 	eb := effectiveABSBound(opt)
-	if opt.QuantizeBeforePredict {
-		symbols = quantizeThenPredict(work, nx, ny, nz, eb, opt, s)
+	lattice := opt.Predictor == Lorenzo3D
+	if lattice {
+		symbols = quantizeThenPredict(work, nx, ny, nz, eb, opt.radius(), s)
 	} else {
 		symbols = predictThenQuantize(work, nx, ny, nz, eb, opt, s)
 	}
@@ -184,6 +176,7 @@ func CompressSliceWith(data []float32, nx, ny, nz int, opt Options, s *Scratch) 
 	return &Compressed{
 		Nx: nx, Ny: ny, Nz: nz,
 		Opt:        opt,
+		lattice:    lattice,
 		codeStream: stream,
 		outliers:   outliers,
 		logShift:   logShift,
@@ -217,116 +210,42 @@ func logTransform(data []float32, s *Scratch) ([]float32, float64, error) {
 	return out, 0, nil
 }
 
-// predictThenQuantize is the CPU-SZ formulation: predict from already
-// reconstructed neighbours, quantize the residual in units of 2·eb, verify
-// the bound, and fall back to a verbatim outlier when quantization cannot
-// honour it. Symbol layout: 0 = outlier; [1, 2·radius) = code + radius.
-// Outliers accumulate in s.outliers.
-//
-// The brick is walked as boundary planes plus a branch-free interior: for
-// cells with x, y, z all > 0 every causal neighbour exists, so the Lorenzo
-// stencil reads seven precomputed flat offsets with no existence tests.
-// Boundary cells (~3/dim of a 64³ brick) go through the generic predictor,
-// which also keeps their missing-neighbour float semantics bit-identical.
+// predictThenQuantize is the reconstructed-value formulation, kept for the
+// MeanNeighbor predictor: predict from already reconstructed neighbours,
+// quantize the residual in units of 2·eb, verify the bound, and fall back
+// to a verbatim outlier when quantization cannot honour it. Each cell waits
+// on its neighbour's reconstruction, so this loop is latency-bound; Lorenzo
+// frames take quantizeThenPredict instead. Symbol layout: 0 = outlier;
+// [1, 2·radius) = code + radius. Outliers accumulate in s.outliers.
 func predictThenQuantize(data []float32, nx, ny, nz int, eb float64, opt Options, s *Scratch) []int {
-	n := len(data)
 	radius := opt.radius()
-	recon := s.reconBuf(n)
-	symbols := s.symbolBuf(n)
+	recon := s.reconBuf(len(data))
+	symbols := s.symbolBuf(len(data))
 	outliers := s.outlierBuf()
 	twoEB := 2 * eb
-
-	cell := func(x, y, z, idx int) {
-		pred := predict(recon, nx, ny, x, y, z, idx, opt.Predictor)
-		v := float64(data[idx])
-		diff := v - pred
-		q := int(math.Floor(diff/twoEB + 0.5))
-		if q > -radius && q < radius {
-			// The explicit conversion rounds the product, so no
-			// architecture fuses it into an FMA the decoder may not match.
-			dec := pred + float64(twoEB*float64(q))
-			// Float rounding can push the reconstruction just past the
-			// bound; verify like SZ does.
-			if math.Abs(float64(float32(dec))-v) <= eb {
-				symbols[idx] = q + radius
-				recon[idx] = float32(dec)
-				return
-			}
-		}
-		symbols[idx] = 0
-		outliers = appendFloat32(outliers, data[idx])
-		recon[idx] = data[idx]
-	}
-
-	if opt.Predictor != Lorenzo3D {
-		idx := 0
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					cell(x, y, z, idx)
-					idx++
-				}
-			}
-		}
-		s.outliers = outliers
-		return symbols
-	}
-
-	nxny := nx * ny
 	idx := 0
-	for y := 0; y < ny; y++ { // z == 0 plane
-		for x := 0; x < nx; x++ {
-			cell(x, y, 0, idx)
-			idx++
-		}
-	}
-	for z := 1; z < nz; z++ {
-		for x := 0; x < nx; x++ { // y == 0 row
-			cell(x, 0, z, idx)
-			idx++
-		}
-		for y := 1; y < ny; y++ {
-			cell(0, y, z, idx) // x == 0 cell
-			rowStart := idx
-			idx += nx
-			// Row views over the current row and its three causal
-			// neighbour rows: same-length slices let the compiler drop the
-			// bounds checks on the seven stencil reads.
-			cur := recon[rowStart : rowStart+nx]
-			py := recon[rowStart-nx : rowStart-nx+nx]
-			pz := recon[rowStart-nxny : rowStart-nxny+nx]
-			pyz := recon[rowStart-nx-nxny : rowStart-nx-nxny+nx]
-			drow := data[rowStart : rowStart+nx]
-			srow := symbols[rowStart : rowStart+nx]
-			// prev carries float64(cur[x-1]) across iterations so the
-			// loop-carried dependency skips the store/load/convert of the
-			// just-written neighbour.
-			prev := float64(cur[0])
-			for x := 1; x < nx; x++ {
-				fy := float64(py[x])
-				fz := float64(pz[x])
-				fxy := float64(py[x-1])
-				fxz := float64(pz[x-1])
-				fyz := float64(pyz[x])
-				fxyz := float64(pyz[x-1])
-				pred := prev + fy + fz - fxy - fxz - fyz + fxyz
-				v := float64(drow[x])
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x, idx = x+1, idx+1 {
+				pred := predict(recon, nx, ny, x, y, z, idx, opt.Predictor)
+				v := float64(data[idx])
 				q := int(math.Floor((v-pred)/twoEB + 0.5))
 				if q > -radius && q < radius {
-					dec := pred + float64(twoEB*float64(q))
-					decF := float32(dec)
-					decR := float64(decF)
-					if math.Abs(decR-v) <= eb {
-						srow[x] = q + radius
-						cur[x] = decF
-						prev = decR
+					// The explicit conversion rounds the product, so no
+					// architecture fuses it into an FMA the decoder may
+					// not match.
+					dec := float32(pred + float64(twoEB*float64(q)))
+					// Float rounding can push the reconstruction just past
+					// the bound; verify like SZ does.
+					if math.Abs(float64(dec)-v) <= eb {
+						symbols[idx] = q + radius
+						recon[idx] = dec
 						continue
 					}
 				}
-				srow[x] = 0
-				outliers = appendFloat32(outliers, drow[x])
-				cur[x] = drow[x]
-				prev = float64(drow[x])
+				symbols[idx] = 0
+				outliers = appendFloat32(outliers, data[idx])
+				recon[idx] = data[idx]
 			}
 		}
 	}
@@ -334,77 +253,76 @@ func predictThenQuantize(data []float32, nx, ny, nz int, eb float64, opt Options
 	return symbols
 }
 
-// quantizeThenPredict is the GPU-SZ/cuSZ formulation: values are first
-// snapped to the 2·eb lattice, then Lorenzo runs on the lattice integers.
-// Outliers store the verbatim fp32 value (accumulated in s.outliers); the
-// decoder re-derives the lattice coordinate from it, so encoder and decoder
-// lattices agree bit-exactly. A point also becomes an outlier when fp32
-// rounding of the lattice reconstruction would breach the bound, keeping
-// the error-bound guarantee strict.
+// latticeCoord returns v's coordinate on the 2·eb lattice, ⌊v/2eb + ½⌋.
+// Go leaves the float-to-integer conversion of NaN and of values outside
+// the int64 range to the CPU (amd64 yields math.MinInt64, arm64 saturates
+// and maps NaN to 0), and an outlier's coordinate feeds its neighbours'
+// predictions, so those cases return math.MinInt64 explicitly: the value
+// amd64 encoders have always written, on every architecture. The encoder
+// and both lattice decoders share this one conversion.
+func latticeCoord(v float32, twoEB float64) int64 {
+	f := float64(v)/twoEB + 0.5
+	if !(f >= -0x1p63 && f < 0x1p63) { // NaN fails both comparisons
+		return math.MinInt64
+	}
+	return int64(math.Floor(f))
+}
+
+// quantizeThenPredict is the Lorenzo3D encoder, the GPU-SZ/cuSZ
+// formulation: each value is snapped to the 2·eb lattice first, then the
+// Lorenzo stencil runs on the lattice integers. Unlike predictThenQuantize
+// no cell waits on its neighbour's float reconstruction, so no dependency
+// chain runs through the loop. Outliers store the verbatim fp32 value
+// (accumulated in s.outliers); the decoder re-derives the lattice
+// coordinate from it, so encoder and decoder lattices agree bit-exactly. A
+// cell also becomes an outlier when fp32 rounding of its lattice value
+// would breach the bound, keeping the error-bound guarantee strict.
 //
-// The loop is split like predictThenQuantize: the interior runs the integer
-// Lorenzo stencil branch-free over precomputed flat offsets.
-func quantizeThenPredict(data []float32, nx, ny, nz int, eb float64, opt Options, s *Scratch) []int {
-	n := len(data)
-	radius := opt.radius()
+// The lattice is stored with a zero halo, (nx+1)·(ny+1)·(nz+1) entries
+// with cell (x, y, z) at (x+1, y+1, z+1): a missing causal neighbour reads
+// an integer 0, which degrades the stencil to 2-D/1-D Lorenzo on the
+// boundary planes with no per-cell existence tests.
+func quantizeThenPredict(data []float32, nx, ny, nz int, eb float64, radius int, s *Scratch) []int {
 	twoEB := 2 * eb
-	lattice := s.latticeBuf(n)
-	for i, v := range data {
-		lattice[i] = int64(math.Floor(float64(v)/twoEB + 0.5))
-	}
-	symbols := s.symbolBuf(n)
+	r := int64(radius)
+	hx, hxy := nx+1, (nx+1)*(ny+1)
+	lat := s.latticeBuf(hxy * (nz + 1))
+	clear(lat[:hxy]) // the z = −1 halo plane
+	symbols := s.symbolBuf(len(data))
 	outliers := s.outlierBuf()
-
-	cell := func(x, y, z, idx int) {
-		pred := predictInt(lattice, nx, ny, x, y, z)
-		d := lattice[idx] - pred
-		inRange := d > int64(-radius) && d < int64(radius)
-		exact := math.Abs(float64(float32(twoEB*float64(lattice[idx])))-
-			float64(data[idx])) <= eb
-		if inRange && exact {
-			symbols[idx] = int(d) + radius
-		} else {
-			symbols[idx] = 0
-			outliers = appendFloat32(outliers, data[idx])
-		}
-	}
-
-	nxny := nx * ny
 	idx := 0
-	for y := 0; y < ny; y++ { // z == 0 plane
-		for x := 0; x < nx; x++ {
-			cell(x, y, 0, idx)
-			idx++
-		}
-	}
-	for z := 1; z < nz; z++ {
-		for x := 0; x < nx; x++ { // y == 0 row
-			cell(x, 0, z, idx)
-			idx++
-		}
-		for y := 1; y < ny; y++ {
-			cell(0, y, z, idx) // x == 0 cell
-			rowStart := idx
-			idx += nx
-			cur := lattice[rowStart : rowStart+nx]
-			ly := lattice[rowStart-nx : rowStart-nx+nx]
-			lz := lattice[rowStart-nxny : rowStart-nxny+nx]
-			lyz := lattice[rowStart-nx-nxny : rowStart-nx-nxny+nx]
-			drow := data[rowStart : rowStart+nx]
-			srow := symbols[rowStart : rowStart+nx]
-			for x := 1; x < nx; x++ {
-				pred := cur[x-1] + ly[x] + lz[x] - ly[x-1] - lz[x-1] - lyz[x] + lyz[x-1]
-				d := cur[x] - pred // lattice is precomputed; no carried store here
-				inRange := d > int64(-radius) && d < int64(radius)
-				exact := math.Abs(float64(float32(twoEB*float64(cur[x])))-
-					float64(drow[x])) <= eb
-				if inRange && exact {
+	for z := 1; z <= nz; z++ {
+		clear(lat[z*hxy : z*hxy+hx]) // the y = −1 halo row
+		for y := 1; y <= ny; y++ {
+			row := z*hxy + y*hx
+			// Views of the row and its three causal neighbour rows, halo
+			// cell first, one longer than the data row; the shared lengths
+			// drop most bounds checks from the stencil.
+			drow := data[idx : idx+nx]
+			srow := symbols[idx : idx+nx][:len(drow)]
+			cur := lat[row : row+hx][:len(drow)+1]
+			ly := lat[row-hx : row][:len(cur)]
+			lz := lat[row-hxy : row-hxy+hx][:len(cur)]
+			lyz := lat[row-hx-hxy : row-hxy][:len(cur)]
+			// Two passes per row: the conversions carry nothing from cell
+			// to cell, so their divides pipeline (fused into the stencil
+			// loop they ran 2× slower); the stencil then reads integers.
+			cur[0] = 0
+			for x, v := range drow {
+				cur[x+1] = latticeCoord(v, twoEB)
+			}
+			for x, v := range drow {
+				q := cur[x+1]
+				d := q - (cur[x] + ly[x+1] + lz[x+1] - ly[x] - lz[x] - lyz[x+1] + lyz[x])
+				if d > -r && d < r &&
+					math.Abs(float64(float32(twoEB*float64(q)))-float64(v)) <= eb {
 					srow[x] = int(d) + radius
 				} else {
 					srow[x] = 0
-					outliers = appendFloat32(outliers, drow[x])
+					outliers = appendFloat32(outliers, v)
 				}
 			}
+			idx += nx
 		}
 	}
 	s.outliers = outliers
@@ -460,35 +378,6 @@ func predict(recon []float32, nx, ny int, x, y, z, idx int, p Predictor) float64
 	}
 	// First-order 3-D Lorenzo: missing neighbours contribute 0, which
 	// makes boundary planes degrade gracefully to 2-D/1-D Lorenzo.
-	return fx + fy + fz - fxy - fxz - fyz + fxyz
-}
-
-// predictInt is the Lorenzo predictor on the integer lattice.
-func predictInt(lat []int64, nx, ny int, x, y, z int) int64 {
-	idx := (z*ny+y)*nx + x
-	var fx, fy, fz, fxy, fxz, fyz, fxyz int64
-	hasX, hasY, hasZ := x > 0, y > 0, z > 0
-	if hasX {
-		fx = lat[idx-1]
-	}
-	if hasY {
-		fy = lat[idx-nx]
-	}
-	if hasZ {
-		fz = lat[idx-nx*ny]
-	}
-	if hasX && hasY {
-		fxy = lat[idx-1-nx]
-	}
-	if hasX && hasZ {
-		fxz = lat[idx-1-nx*ny]
-	}
-	if hasY && hasZ {
-		fyz = lat[idx-nx-nx*ny]
-	}
-	if hasX && hasY && hasZ {
-		fxyz = lat[idx-1-nx-nx*ny]
-	}
 	return fx + fy + fz - fxy - fxz - fyz + fxyz
 }
 

@@ -45,9 +45,20 @@ func DecompressSlice(c *Compressed) ([]float32, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 
+	return reconstruct(symbols, c, s)
+}
+
+// reconstruct dispatches on the stored flag, not on the predictor: flag-1
+// frames are lattice Lorenzo whatever their predictor byte says (that is
+// how MeanNeighbor frames with the flag set were always coded), and flag-0
+// frames (new MeanNeighbor frames, and the reconstructed-value Lorenzo
+// frames of older archives) decode through reconstructDirect forever.
+// PW_REL frames are mapped back out of log space.
+func reconstruct(symbols []int, c *Compressed, s *Scratch) ([]float32, error) {
 	eb := effectiveABSBound(c.Opt)
 	var out []float32
-	if c.Opt.QuantizeBeforePredict {
+	var err error
+	if c.lattice {
 		out, err = reconstructLattice(symbols, c, eb, s)
 	} else {
 		out, err = reconstructDirect(symbols, c, eb)
@@ -63,104 +74,31 @@ func DecompressSlice(c *Compressed) ([]float32, error) {
 	return out, nil
 }
 
-// reconstructDirect mirrors predictThenQuantize: the interior (x, y, z all
-// > 0) runs the Lorenzo stencil branch-free over flat offsets, boundary
-// cells go through the generic predictor.
+// reconstructDirect mirrors predictThenQuantize: each cell is predicted
+// from its already reconstructed neighbours.
 func reconstructDirect(symbols []int, c *Compressed, eb float64) ([]float32, error) {
 	nx, ny, nz := c.Nx, c.Ny, c.Nz
 	radius := c.Opt.radius()
 	twoEB := 2 * eb
 	recon := make([]float32, len(symbols))
 	outPos := 0
-
-	cell := func(x, y, z, idx int) error {
-		s := symbols[idx]
-		if s == 0 {
-			v, pos, err := readFloat32(c.outliers, outPos)
-			if err != nil {
-				return err
-			}
-			recon[idx] = v
-			outPos = pos
-			return nil
-		}
-		pred := predict(recon, nx, ny, x, y, z, idx, c.Opt.Predictor)
-		// Unfused like the encoder (see predictThenQuantize).
-		recon[idx] = float32(pred + float64(twoEB*float64(s-radius)))
-		return nil
-	}
-
-	if c.Opt.Predictor != Lorenzo3D {
-		idx := 0
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					if err := cell(x, y, z, idx); err != nil {
-						return nil, err
-					}
-					idx++
-				}
-			}
-		}
-		if outPos != len(c.outliers) {
-			return nil, fmt.Errorf("%w: %d unread outlier bytes", ErrCorrupt, len(c.outliers)-outPos)
-		}
-		return recon, nil
-	}
-
-	nxny := nx * ny
 	idx := 0
-	for y := 0; y < ny; y++ { // z == 0 plane
-		for x := 0; x < nx; x++ {
-			if err := cell(x, y, 0, idx); err != nil {
-				return nil, err
-			}
-			idx++
-		}
-	}
-	for z := 1; z < nz; z++ {
-		for x := 0; x < nx; x++ { // y == 0 row
-			if err := cell(x, 0, z, idx); err != nil {
-				return nil, err
-			}
-			idx++
-		}
-		for y := 1; y < ny; y++ {
-			if err := cell(0, y, z, idx); err != nil { // x == 0 cell
-				return nil, err
-			}
-			rowStart := idx
-			idx += nx
-			// Same-length row views as the encoder's interior loop, so the
-			// stencil reads are bounds-check free.
-			cur := recon[rowStart : rowStart+nx]
-			py := recon[rowStart-nx : rowStart-nx+nx]
-			pz := recon[rowStart-nxny : rowStart-nxny+nx]
-			pyz := recon[rowStart-nx-nxny : rowStart-nx-nxny+nx]
-			srow := symbols[rowStart : rowStart+nx]
-			prev := float64(cur[0])
-			for x := 1; x < nx; x++ {
-				s := srow[x]
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			for x := 0; x < nx; x, idx = x+1, idx+1 {
+				s := symbols[idx]
 				if s == 0 {
 					v, pos, err := readFloat32(c.outliers, outPos)
 					if err != nil {
 						return nil, err
 					}
-					cur[x] = v
-					prev = float64(v)
+					recon[idx] = v
 					outPos = pos
 					continue
 				}
-				fy := float64(py[x])
-				fz := float64(pz[x])
-				fxy := float64(py[x-1])
-				fxz := float64(pz[x-1])
-				fyz := float64(pyz[x])
-				fxyz := float64(pyz[x-1])
-				pred := prev + fy + fz - fxy - fxz - fyz + fxyz
-				r := float32(pred + float64(twoEB*float64(s-radius)))
-				cur[x] = r
-				prev = float64(r)
+				pred := predict(recon, nx, ny, x, y, z, idx, c.Opt.Predictor)
+				// Unfused like the encoder (see predictThenQuantize).
+				recon[idx] = float32(pred + float64(twoEB*float64(s-radius)))
 			}
 		}
 	}
@@ -170,93 +108,52 @@ func reconstructDirect(symbols []int, c *Compressed, eb float64) ([]float32, err
 	return recon, nil
 }
 
-// reconstructLattice mirrors quantizeThenPredict: the integer Lorenzo
-// stencil runs branch-free over the interior, boundary cells go through the
-// generic predictor.
+// reconstructLattice mirrors quantizeThenPredict over the same zero-haloed
+// lattice: a coded cell adds its correction to the integer Lorenzo
+// prediction, an outlier takes its verbatim value and re-derives its
+// lattice coordinate from it, so neighbour predictions stay exact.
 func reconstructLattice(symbols []int, c *Compressed, eb float64, s *Scratch) ([]float32, error) {
 	nx, ny, nz := c.Nx, c.Ny, c.Nz
 	radius := c.Opt.radius()
 	twoEB := 2 * eb
-	lat := s.latticeBuf(len(symbols))
+	hx, hxy := nx+1, (nx+1)*(ny+1)
+	lat := s.latticeBuf(hxy * (nz + 1))
+	clear(lat[:hxy]) // the z = −1 halo plane
 	out := make([]float32, len(symbols))
-	verbatim := s.verbatimBuf(len(symbols))
 	outPos := 0
-
-	cell := func(x, y, z, idx int) error {
-		s := symbols[idx]
-		if s == 0 {
-			v, pos, err := readFloat32(c.outliers, outPos)
-			if err != nil {
-				return err
-			}
-			// Re-derive the encoder's lattice coordinate from the verbatim
-			// value so neighbour prediction stays exact.
-			lat[idx] = int64(math.Floor(float64(v)/twoEB + 0.5))
-			out[idx] = v
-			verbatim[idx] = true
-			outPos = pos
-			return nil
-		}
-		lat[idx] = predictInt(lat, nx, ny, x, y, z) + int64(s-radius)
-		return nil
-	}
-
-	nxny := nx * ny
 	idx := 0
-	for y := 0; y < ny; y++ { // z == 0 plane
-		for x := 0; x < nx; x++ {
-			if err := cell(x, y, 0, idx); err != nil {
-				return nil, err
-			}
-			idx++
-		}
-	}
-	for z := 1; z < nz; z++ {
-		for x := 0; x < nx; x++ { // y == 0 row
-			if err := cell(x, 0, z, idx); err != nil {
-				return nil, err
-			}
-			idx++
-		}
-		for y := 1; y < ny; y++ {
-			if err := cell(0, y, z, idx); err != nil { // x == 0 cell
-				return nil, err
-			}
-			rowStart := idx
-			idx += nx
-			cur := lat[rowStart : rowStart+nx]
-			ly := lat[rowStart-nx : rowStart-nx+nx]
-			lz := lat[rowStart-nxny : rowStart-nxny+nx]
-			lyz := lat[rowStart-nx-nxny : rowStart-nx-nxny+nx]
-			srow := symbols[rowStart : rowStart+nx]
-			prev := cur[0]
-			for x := 1; x < nx; x++ {
-				s := srow[x]
-				if s == 0 {
+	for z := 1; z <= nz; z++ {
+		clear(lat[z*hxy : z*hxy+hx]) // the y = −1 halo row
+		for y := 1; y <= ny; y++ {
+			row := z*hxy + y*hx
+			srow := symbols[idx : idx+nx]
+			orow := out[idx : idx+nx][:len(srow)]
+			cur := lat[row : row+hx][:len(srow)+1]
+			ly := lat[row-hx : row][:len(cur)]
+			lz := lat[row-hxy : row-hxy+hx][:len(cur)]
+			lyz := lat[row-hx-hxy : row-hxy][:len(cur)]
+			cur[0] = 0
+			q := int64(0) // the left neighbour, carried in a register
+			for x, sym := range srow {
+				if sym == 0 {
 					v, pos, err := readFloat32(c.outliers, outPos)
 					if err != nil {
 						return nil, err
 					}
-					prev = int64(math.Floor(float64(v)/twoEB + 0.5))
-					cur[x] = prev
-					out[rowStart+x] = v
-					verbatim[rowStart+x] = true
 					outPos = pos
-					continue
+					q = latticeCoord(v, twoEB)
+					orow[x] = v
+				} else {
+					q += ly[x+1] + lz[x+1] - ly[x] - lz[x] - lyz[x+1] + lyz[x] + int64(sym-radius)
+					orow[x] = float32(twoEB * float64(q))
 				}
-				pred := prev + ly[x] + lz[x] - ly[x-1] - lz[x-1] - lyz[x] + lyz[x-1]
-				prev = pred + int64(s-radius)
-				cur[x] = prev
+				cur[x+1] = q
 			}
+			idx += nx
 		}
 	}
 	if outPos != len(c.outliers) {
 		return nil, fmt.Errorf("%w: %d unread outlier bytes", ErrCorrupt, len(c.outliers)-outPos)
-	}
-	for i, q := range lat {
-		if !verbatim[i] {
-			out[i] = float32(twoEB * float64(q))
-		}
 	}
 	return out, nil
 }

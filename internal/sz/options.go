@@ -2,13 +2,18 @@
 // compressor in the style of SZ/cuSZ, the compressor the paper configures
 // (Sec. 2.2). The pipeline is:
 //
-//  1. Predict each value with a first-order 3-D Lorenzo predictor (on the
-//     already-reconstructed neighbours, as CPU-SZ does, or on pre-quantized
-//     integers, as GPU-SZ/cuSZ does — both variants are provided because
-//     Sec. 3.2 of the paper discusses their identical error behaviour).
-//  2. Error-controlled linear-scaling quantization of the prediction
-//     residual with a user-set error bound. This yields the uniform
-//     U[−eb, +eb] error distribution the paper's models build on.
+//  1. Quantize: snap each value to the 2·eb lattice first, as GPU-SZ/cuSZ
+//     does. This yields the uniform U[−eb, +eb] error distribution the
+//     paper's models build on.
+//  2. Predict each lattice integer with a first-order 3-D Lorenzo
+//     predictor on its causal neighbours' integers and code the
+//     difference; a cell whose difference falls outside the quantization
+//     radius, or whose fp32 lattice value would breach the bound, is stored
+//     verbatim. Prediction reads integers, so no cell waits on its
+//     neighbour's float reconstruction. CPU-SZ's formulation, predicting
+//     from already reconstructed neighbours, remains for the MeanNeighbor
+//     predictor and for decoding the flag-0 Lorenzo frames of older
+//     archives; Sec. 3.2 of the paper shows the two behave identically.
 //  3. Entropy coding: run-length tokens for runs of the "perfect
 //     prediction" code followed by canonical Huffman coding. The RLE stage
 //     is what lets bit rates drop below 1 bit/value at high error bounds,
@@ -83,10 +88,6 @@ type Options struct {
 	Radius int
 	// Predictor selects the prediction scheme (default Lorenzo3D).
 	Predictor Predictor
-	// QuantizeBeforePredict selects the GPU-SZ (cuSZ) formulation where
-	// values are pre-quantized onto the eb lattice and Lorenzo runs on
-	// integers. Error distribution is uniform either way (paper Sec. 3.2).
-	QuantizeBeforePredict bool
 }
 
 func (o Options) radius() int {

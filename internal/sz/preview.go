@@ -2,7 +2,6 @@ package sz
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/apierr"
@@ -102,20 +101,9 @@ func DecompressPreview(c *Compressed, octaves int) (*grid.Field3D, PreviewInfo, 
 		}
 	}
 
-	eb := effectiveABSBound(c.Opt)
-	var out []float32
-	if c.Opt.QuantizeBeforePredict {
-		out, err = reconstructLattice(symbols, c, eb, s)
-	} else {
-		out, err = reconstructDirect(symbols, c, eb)
-	}
+	out, err := reconstruct(symbols, c, s)
 	if err != nil {
 		return nil, info, err
-	}
-	if c.Opt.Mode == PWREL {
-		for i, v := range out {
-			out[i] = float32(math.Exp(float64(v)))
-		}
 	}
 	return &grid.Field3D{Nx: c.Nx, Ny: c.Ny, Nz: c.Nz, Data: out}, info, nil
 }

@@ -43,9 +43,10 @@ func ScanResiduals(data []float32, nx, ny, nz int, p Predictor, out *stats.PredS
 		return nil
 	}
 
-	// Boundary planes through the generic predictor, branch-free interior
-	// over row views — the same walk as predictThenQuantize, minus the
-	// quantize/verify/entropy stages.
+	// Boundary planes through the generic predictor, a branch-free interior
+	// over row views. Predictions read original values, not
+	// reconstructions, so prev is a load, not the end of a dependency
+	// chain, and the stencil is the encoder's Lorenzo on floats.
 	nxny := nx * ny
 	idx := 0
 	for y := 0; y < ny; y++ { // z == 0 plane

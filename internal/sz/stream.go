@@ -16,7 +16,7 @@ import (
 //	4      1     version (1)
 //	5      1     mode
 //	6      1     predictor
-//	7      1     flags (bit0: quantize-before-predict)
+//	7      1     flags (bit0: integer-lattice Lorenzo)
 //	8      8     error bound (float64)
 //	16     4     radius
 //	20     12    nx, ny, nz (uint32 each)
@@ -25,6 +25,11 @@ import (
 //	44     4     len(outliers)
 //	48     4     CRC32 (Castagnoli) of the two payload sections
 //	52     ...   codeStream ++ outliers
+//
+// Flag bit0 is set on every new Lorenzo3D frame: its code stream came from
+// the integer-lattice encoder. It is clear on new MeanNeighbor frames and on
+// the reconstructed-value Lorenzo frames older encoders wrote; those
+// flag-0 frames keep decoding forever, because archives are.
 const (
 	headerSize = 52
 	magic      = "SZGO"
@@ -44,7 +49,7 @@ func (c *Compressed) Bytes() []byte {
 	out[4] = version
 	out[5] = byte(c.Opt.Mode)
 	out[6] = byte(c.Opt.Predictor)
-	if c.Opt.QuantizeBeforePredict {
+	if c.lattice {
 		out[7] = 1
 	}
 	binary.LittleEndian.PutUint64(out[8:16], math.Float64bits(c.Opt.ErrorBound))
@@ -77,11 +82,10 @@ func Parse(data []byte) (*Compressed, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, data[4])
 	}
 	opt := Options{
-		Mode:                  Mode(data[5]),
-		Predictor:             Predictor(data[6]),
-		QuantizeBeforePredict: data[7]&1 != 0,
-		ErrorBound:            math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
-		Radius:                int(binary.LittleEndian.Uint32(data[16:20])),
+		Mode:       Mode(data[5]),
+		Predictor:  Predictor(data[6]),
+		ErrorBound: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
+		Radius:     int(binary.LittleEndian.Uint32(data[16:20])),
 	}
 	nx := int(binary.LittleEndian.Uint32(data[20:24]))
 	ny := int(binary.LittleEndian.Uint32(data[24:28]))
@@ -110,6 +114,7 @@ func Parse(data []byte) (*Compressed, error) {
 	return &Compressed{
 		Nx: nx, Ny: ny, Nz: nz,
 		Opt:        opt,
+		lattice:    data[7]&1 != 0,
 		codeStream: codeStream,
 		outliers:   outliers,
 		logShift:   logShift,

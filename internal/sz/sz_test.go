@@ -72,10 +72,16 @@ func TestABSRoundTripBounds(t *testing.T) {
 	}
 }
 
+// TestABSQuantizeBeforePredict: Lorenzo3D frames are coded by the
+// quantize-before-predict (integer lattice) encoder, hold the bound, and
+// say so in their flag.
 func TestABSQuantizeBeforePredict(t *testing.T) {
 	f := smoothField(20, 2)
 	for _, eb := range []float64{1e-2, 0.1, 1} {
-		checkBound(t, f, Options{Mode: ABS, ErrorBound: eb, QuantizeBeforePredict: true})
+		c := checkBound(t, f, Options{Mode: ABS, ErrorBound: eb})
+		if !c.lattice || c.Bytes()[7]&1 == 0 {
+			t.Fatalf("eb %g: Lorenzo frame not coded on the lattice", eb)
+		}
 	}
 }
 
