@@ -127,7 +127,7 @@ func localSplice(t *testing.T, streamPath string, step int, field string, rate f
 	}
 	var s zfp.Scratch
 	for _, part := range cf.Parts {
-		c, err := zfp.Parse(part.Bytes())
+		c, err := zfp.Parse(part.AppendBytes(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +480,7 @@ func TestPreviewRungMatchesLocalPreviewDecode(t *testing.T) {
 	}
 	want := grid.NewField3D(cf.Nx, cf.Ny, cf.Nz)
 	for i, part := range cf.Parts {
-		c, err := sz.Parse(part.Bytes())
+		c, err := sz.Parse(part.AppendBytes(nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,12 +28,14 @@ func SpliceArchive(data []byte, rate float64) ([]byte, error) {
 		Parts:        make([]codec.Frame, 0, len(cf.Parts)),
 	}
 	var s zfp.Scratch
+	var body []byte // reused: TruncateToRate copies what it keeps
 	for i, part := range cf.Parts {
 		if part.CodecID() != codec.ZFP {
 			return nil, fmt.Errorf("archiveserve: %w: partition %d is %q, rate slicing is a zfp property",
 				apierr.ErrBadConfig, i, part.CodecID())
 		}
-		c, err := zfp.Parse(part.Bytes())
+		body = part.AppendBytes(body[:0])
+		c, err := zfp.Parse(body)
 		if err != nil {
 			return nil, err
 		}

@@ -135,9 +135,11 @@ type Frame interface {
 	// ErrorBound returns the pointwise bound this frame honors, or 0 when
 	// the codec gives no bound (fixed-rate frames, parsed ZFP frames).
 	ErrorBound() float64
-	// Bytes serializes the frame in the codec's native format (without
-	// the codec envelope; see EncodeFrame for the self-describing form).
-	Bytes() []byte
+	// AppendBytes appends the frame in the codec's native format (without
+	// the codec envelope; see AppendFrame for the self-describing form) to
+	// dst and returns the extended slice. It must leave dst[:len(dst)]
+	// untouched and write exactly CompressedSize bytes.
+	AppendBytes(dst []byte) []byte
 	// Decompress reconstructs the flat brick values.
 	Decompress() ([]float32, error)
 }
@@ -167,7 +169,7 @@ type Codec interface {
 	// The input and scratch (which may be nil) are only retained during
 	// the call.
 	Compress(data []float32, nx, ny, nz int, opt Options, s *Scratch) (Frame, error)
-	// Parse deserializes a frame previously produced by Frame.Bytes.
+	// Parse deserializes a frame previously produced by Frame.AppendBytes.
 	Parse(body []byte) (Frame, error)
 }
 

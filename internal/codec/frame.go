@@ -23,13 +23,19 @@ const (
 
 // EncodeFrame serializes a frame with its self-describing codec header.
 func EncodeFrame(f Frame) []byte {
+	return AppendFrame(make([]byte, 0, FrameOverhead(f.CodecID())+f.CompressedSize()), f)
+}
+
+// AppendFrame appends f's envelope and codec-native stream to dst and
+// returns the extended slice: the one serializer EncodeFrame wraps, so a
+// caller assembling many frames (an archive, a stream step) writes each
+// frame's bytes once, straight into its own buffer.
+func AppendFrame(dst []byte, f Frame) []byte {
 	id := f.CodecID()
-	body := f.Bytes()
-	out := make([]byte, 0, frameFixedBytes+len(id)+len(body))
-	out = append(out, frameMagic...)
-	out = append(out, frameVersion, byte(len(id)))
-	out = append(out, id...)
-	return append(out, body...)
+	dst = append(dst, frameMagic...)
+	dst = append(dst, frameVersion, byte(len(id)))
+	dst = append(dst, id...)
+	return f.AppendBytes(dst)
 }
 
 // FrameBody splits a frame envelope into its codec ID and codec-native

@@ -35,7 +35,7 @@ func TestZFPBoundedWorkBound(t *testing.T) {
 		if tel.Probes <= 0 || tel.Probes > tel.BlockDecodes {
 			t.Errorf("eb %g: %d candidate rates over %d block decodes", eb, tel.Probes, tel.BlockDecodes)
 		}
-		if parsed, err := zfp.Parse(ref.Bytes()); err != nil || parsed.Rate != tel.ChosenRate {
+		if parsed, err := zfp.Parse(ref.AppendBytes(nil)); err != nil || parsed.Rate != tel.ChosenRate {
 			t.Errorf("eb %g: telemetry says rate %g, the frame says %+v (%v)", eb, tel.ChosenRate, parsed, err)
 		}
 		var again Telemetry
@@ -43,7 +43,7 @@ func TestZFPBoundedWorkBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(pooled.Bytes(), ref.Bytes()) || again.Probes != tel.Probes || again.BlockDecodes != tel.BlockDecodes || again.ChosenRate != tel.ChosenRate {
+		if !bytes.Equal(pooled.AppendBytes(nil), ref.AppendBytes(nil)) || again.Probes != tel.Probes || again.BlockDecodes != tel.BlockDecodes || again.ChosenRate != tel.ChosenRate {
 			t.Errorf("eb %g: a reused scratch changed the frame or the telemetry (%+v vs %+v)", eb, again, tel)
 		}
 	}

@@ -121,5 +121,5 @@ func (f szFrame) CompressedSize() int            { return f.c.CompressedSize() }
 func (f szFrame) BitRate() float64               { return f.c.BitRate() }
 func (f szFrame) Ratio() float64                 { return f.c.Ratio() }
 func (f szFrame) ErrorBound() float64            { return f.c.Opt.ErrorBound }
-func (f szFrame) Bytes() []byte                  { return f.c.Bytes() }
+func (f szFrame) AppendBytes(dst []byte) []byte  { return f.c.AppendBytes(dst) }
 func (f szFrame) Decompress() ([]float32, error) { return sz.DecompressSlice(f.c) }

@@ -100,14 +100,14 @@ type zfpFrame struct {
 	eb float64
 }
 
-func (f zfpFrame) CodecID() ID           { return ZFP }
-func (f zfpFrame) Dims() (int, int, int) { return f.c.Nx, f.c.Ny, f.c.Nz }
-func (f zfpFrame) N() int                { return f.c.N() }
-func (f zfpFrame) CompressedSize() int   { return f.c.CompressedSize() }
-func (f zfpFrame) BitRate() float64      { return f.c.BitRate() }
-func (f zfpFrame) Ratio() float64        { return f.c.Ratio() }
-func (f zfpFrame) ErrorBound() float64   { return f.eb }
-func (f zfpFrame) Bytes() []byte         { return f.c.Bytes() }
+func (f zfpFrame) CodecID() ID                   { return ZFP }
+func (f zfpFrame) Dims() (int, int, int)         { return f.c.Nx, f.c.Ny, f.c.Nz }
+func (f zfpFrame) N() int                        { return f.c.N() }
+func (f zfpFrame) CompressedSize() int           { return f.c.CompressedSize() }
+func (f zfpFrame) BitRate() float64              { return f.c.BitRate() }
+func (f zfpFrame) Ratio() float64                { return f.c.Ratio() }
+func (f zfpFrame) ErrorBound() float64           { return f.eb }
+func (f zfpFrame) AppendBytes(dst []byte) []byte { return f.c.AppendBytes(dst) }
 
 func (f zfpFrame) Decompress() ([]float32, error) {
 	g, err := zfp.Decompress(f.c)

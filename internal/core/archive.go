@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/apierr"
 	"repro/internal/codec"
@@ -54,22 +54,38 @@ const (
 // carries its own integrity checks (sz CRCs its payload), so the archive
 // needs no extra checksum.
 func (cf *CompressedField) Bytes() []byte {
-	out := make([]byte, archiveHeader, archiveHeader+cf.CompressedSize()+16*len(cf.Parts))
-	copy(out[0:4], archiveMagic)
-	binary.LittleEndian.PutUint32(out[4:8], archiveVersion)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(cf.Nx))
-	binary.LittleEndian.PutUint32(out[12:16], uint32(cf.Ny))
-	binary.LittleEndian.PutUint32(out[16:20], uint32(cf.Nz))
-	binary.LittleEndian.PutUint32(out[20:24], uint32(cf.PartitionDim))
-	binary.LittleEndian.PutUint32(out[24:28], uint32(len(cf.Parts)))
+	return cf.AppendBytes(make([]byte, 0, cf.encodedSize()))
+}
+
+// AppendBytes appends the serialized field to dst and returns the extended
+// slice: the one serializer Bytes wraps. Each partition's length prefix is
+// reserved, then back-patched once its frame is appended, so every frame's
+// bytes are written once, straight into dst.
+func (cf *CompressedField) AppendBytes(dst []byte) []byte {
+	var hdr [archiveHeader]byte
+	copy(hdr[0:4], archiveMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], archiveVersion)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(cf.Nx))
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(cf.Ny))
+	binary.LittleEndian.PutUint32(hdr[16:20], uint32(cf.Nz))
+	binary.LittleEndian.PutUint32(hdr[20:24], uint32(cf.PartitionDim))
+	binary.LittleEndian.PutUint32(hdr[24:28], uint32(len(cf.Parts)))
+	dst = append(dst, hdr[:]...)
 	for _, p := range cf.Parts {
-		blob := codec.EncodeFrame(p)
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(blob)))
-		out = append(out, lenBuf[:]...)
-		out = append(out, blob...)
+		at := len(dst)
+		dst = codec.AppendFrame(append(dst, 0, 0, 0, 0), p)
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	return out
+	return dst
+}
+
+// encodedSize is the exact length AppendBytes appends.
+func (cf *CompressedField) encodedSize() int {
+	n := archiveHeader
+	for _, p := range cf.Parts {
+		n += 4 + codec.FrameOverhead(p.CodecID()) + p.CompressedSize()
+	}
+	return n
 }
 
 // ParseCompressedField reverses Bytes, resolving each partition's codec
@@ -225,6 +241,12 @@ type StreamWriter struct {
 	// extent is the farthest byte ever written, including checkpoint
 	// footers beyond off; Close truncates back to the true stream end.
 	extent uint64
+
+	// buf and names are reused by every WriteStep (and buf by every
+	// checkpoint), so a steady-state step allocates nothing proportional
+	// to its size.
+	buf   []byte
+	names []string
 }
 
 // CheckpointOptions tunes the stream writer's crash-recovery checkpoints.
@@ -277,7 +299,8 @@ func NewCheckpointedStreamWriter(w io.Writer, opt CheckpointOptions) (*StreamWri
 // advanced: the snapshot lives past the logical stream end and is
 // overwritten by the next step (or superseded by Close's real footer).
 func (sw *StreamWriter) checkpoint() error {
-	buf := appendStreamFooter(nil, sw.index, sw.off)
+	sw.buf = appendStreamFooter(sw.buf[:0], sw.index, sw.off)
+	buf := sw.buf
 	if _, err := sw.wAt.WriteAt(buf, int64(sw.off)); err != nil {
 		return fmt.Errorf("core: stream checkpoint after step %d: %w", len(sw.index), err)
 	}
@@ -327,31 +350,35 @@ func (sw *StreamWriter) WriteStep(fields map[string]*CompressedField) error {
 	if len(fields) == 0 {
 		return fmt.Errorf("core: step has no fields")
 	}
-	names := make([]string, 0, len(fields))
-	for name := range fields {
+	names := sw.names[:0]
+	size := 4
+	for name, cf := range fields {
 		if len(name) == 0 || len(name) > 1<<16-1 {
 			return fmt.Errorf("core: invalid field name %q", name)
 		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var buf []byte
-	var scratch [4]byte
-	binary.LittleEndian.PutUint32(scratch[:], uint32(len(names)))
-	buf = append(buf, scratch[:]...)
-	for _, name := range names {
-		binary.LittleEndian.PutUint16(scratch[:2], uint16(len(name)))
-		buf = append(buf, scratch[:2]...)
-		buf = append(buf, name...)
-		blob := fields[name].Bytes()
-		if uint64(len(blob)) > 1<<32-1 {
-			return fmt.Errorf("core: field %q payload %d bytes exceeds the stream's 4 GiB field limit", name, len(blob))
+		n := cf.encodedSize()
+		if uint64(n) > 1<<32-1 {
+			return fmt.Errorf("core: field %q payload %d bytes exceeds the stream's 4 GiB field limit", name, n)
 		}
-		binary.LittleEndian.PutUint32(scratch[:], uint32(len(blob)))
-		buf = append(buf, scratch[:]...)
-		buf = append(buf, blob...)
+		names = append(names, name)
+		size += 2 + len(name) + 4 + n
 	}
+	slices.Sort(names)
+	sw.names = names
+
+	// The step is serialized once, into the writer's own buffer: each
+	// field's length prefix is reserved and back-patched, and the buffer
+	// is reused by every later step (io.Writer may not retain it).
+	buf := slices.Grow(sw.buf[:0], size)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(names)))
+	for _, name := range names {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
+		buf = append(buf, name...)
+		at := len(buf)
+		buf = fields[name].AppendBytes(append(buf, 0, 0, 0, 0))
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	sw.buf = buf
 	if _, err := sw.w.Write(buf); err != nil {
 		sw.writeErr = fmt.Errorf("core: stream step %d: %w", len(sw.index), err)
 		return sw.writeErr

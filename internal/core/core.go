@@ -28,6 +28,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/apierr"
 	"repro/internal/codec"
@@ -94,6 +95,10 @@ type Engine struct {
 	// scratch pools per-worker compression state so the hot per-partition
 	// paths allocate O(1) transient memory per snapshot.
 	scratch sync.Pool
+	// parts caches the partitioner of the last field shape seen: every
+	// step of a run repartitions same-shaped fields, and a Partitioner is
+	// immutable, so it is built once per shape instead of once per call.
+	parts atomic.Pointer[grid.Partitioner]
 }
 
 // NewEngine builds an engine, resolving the configured codec in the
@@ -125,13 +130,20 @@ func (e *Engine) getScratch() *codec.Scratch {
 
 func (e *Engine) putScratch(s *codec.Scratch) { e.scratch.Put(s) }
 
-// partitioner builds the brick layout for a field.
+// partitioner returns the brick layout for a field (shared and immutable).
 func (e *Engine) partitioner(f *grid.Field3D) (*grid.Partitioner, error) {
+	if p := e.parts.Load(); p != nil && p.Nx == f.Nx && p.Ny == f.Ny && p.Nz == f.Nz {
+		return p, nil
+	}
 	d := e.cfg.PartitionDim
 	if f.Nx%d != 0 || f.Ny%d != 0 || f.Nz%d != 0 {
 		return nil, fmt.Errorf("core: %w: field %s not divisible by partition dim %d", apierr.ErrBadConfig, f, d)
 	}
-	return grid.NewPartitioner(f.Nx, f.Ny, f.Nz, f.Nx/d, f.Ny/d, f.Nz/d)
+	p, err := grid.NewPartitioner(f.Nx, f.Ny, f.Nz, f.Nx/d, f.Ny/d, f.Nz/d)
+	if err == nil {
+		e.parts.Store(p)
+	}
+	return p, err
 }
 
 // codecOptions builds compressor options at a given error bound. The

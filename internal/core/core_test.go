@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/codec"
@@ -58,6 +59,58 @@ func TestNewEngineDefaults(t *testing.T) {
 	}
 	if _, err := NewEngine(Config{ClampFactor: 0.2}); err == nil {
 		t.Error("clamp < 1 accepted")
+	}
+}
+
+// TestPartitionerFollowsFieldShape: the engine keeps the partitioner of
+// the last field shape it saw; a field of another shape (or a shape that
+// does not divide) must get its own, concurrently too, and compress as a
+// fresh engine would.
+func TestPartitionerFollowsFieldShape(t *testing.T) {
+	shared := engine(t, Config{PartitionDim: 8})
+	cube := func(nx, ny, nz int) *grid.Field3D {
+		f := grid.NewField3D(nx, ny, nz)
+		for i := range f.Data {
+			x, y, z := f.Coords(i)
+			f.Data[i] = float32(x) - 0.5*float32(y) + 0.25*float32(z*x%5)
+		}
+		return f
+	}
+	// Consecutive shapes share all axes but one.
+	shapes := [][3]int{{16, 16, 16}, {32, 16, 16}, {32, 8, 16}, {32, 8, 24}, {8, 8, 24}}
+	want := make([][]byte, len(shapes))
+	for i, sh := range shapes {
+		f := cube(sh[0], sh[1], sh[2])
+		cf, err := engine(t, Config{PartitionDim: 8}).CompressStatic(context.Background(), f, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = cf.Bytes()
+		got, err := shared.CompressStatic(context.Background(), f, 0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want[i]) {
+			t.Fatalf("shape %v after %v: the shared engine's archive differs from a fresh engine's", sh, shapes[max(i-1, 0)])
+		}
+	}
+	var wg sync.WaitGroup
+	for run := 0; run < 2*len(shapes); run++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh := shapes[run%len(shapes)]
+			got, err := shared.CompressStatic(context.Background(), cube(sh[0], sh[1], sh[2]), 0.01)
+			if err != nil {
+				t.Errorf("shape %v: %v", sh, err)
+			} else if !bytes.Equal(got.Bytes(), want[run%len(shapes)]) {
+				t.Errorf("run %d, shape %v: the shared engine's archive differs from a fresh engine's", run, sh)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := shared.CompressStatic(context.Background(), cube(12, 16, 16), 0.01); err == nil {
+		t.Error("a field not divisible by the partition dim was accepted after a cached shape")
 	}
 }
 

@@ -243,7 +243,8 @@ func FuzzOpenStream(f *testing.F) {
 
 // TestWriteArchiveFuzzCorpus materializes the seed corpora as checked-in
 // files in Go's corpus format (reuses the golden -update-golden flag: the
-// corpus derives from the fixtures, so they regenerate together).
+// corpus derives from the fixtures, so they regenerate together). It only
+// adds seeds: an existing seed file is never rewritten.
 func TestWriteArchiveFuzzCorpus(t *testing.T) {
 	if !*updateGolden {
 		t.Skip("run with -update-golden to rewrite the corpus")
@@ -255,7 +256,13 @@ func TestWriteArchiveFuzzCorpus(t *testing.T) {
 		}
 		for i, s := range seeds {
 			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
-			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%03d", i)), []byte(body), 0o644); err != nil {
+			path := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
+			// Existing seeds stay: a seed rebuilt from a fresh compression
+			// must not replace the older encoder's bytes it pins.
+			if _, err := os.Stat(path); err == nil {
+				continue
+			}
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}

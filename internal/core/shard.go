@@ -208,11 +208,7 @@ func MergeShardsWith(w io.Writer, shards []ShardInput, nParts int, reg *codec.Re
 // mergeStep collects step s's pseudo-fields from every shard that has it
 // and reassembles the real fields, partitions in ID order.
 func mergeStep(readers []*StreamReader, s, nParts int, rep *MergeReport) (map[string]*CompressedField, error) {
-	type partSlot struct {
-		cf  *CompressedField
-		enc []byte // encoded frame, for duplicate comparison
-	}
-	byField := make(map[string]map[int]partSlot)
+	byField := make(map[string]map[int]*CompressedField)
 	for ri, sr := range readers {
 		if s >= sr.Steps() {
 			continue
@@ -230,10 +226,9 @@ func mergeStep(readers []*StreamReader, s, nParts int, rep *MergeReport) (map[st
 				return nil, fmt.Errorf("core: %w: shard %d step %d field %q holds %d partitions, want 1",
 					errCorrupt, ri, s, name, len(cf.Parts))
 			}
-			enc := codec.EncodeFrame(cf.Parts[0])
 			slots := byField[field]
 			if slots == nil {
-				slots = make(map[int]partSlot)
+				slots = make(map[int]*CompressedField)
 				byField[field] = slots
 			}
 			if prev, dup := slots[part]; dup {
@@ -241,15 +236,16 @@ func mergeStep(readers []*StreamReader, s, nParts int, rep *MergeReport) (map[st
 				// step committed. Determinism makes the retry's frame
 				// byte-identical, so an exact match is expected residue;
 				// anything else means the shards disagree about the data.
-				if !bytes.Equal(prev.enc, enc) || prev.cf.Nx != cf.Nx || prev.cf.Ny != cf.Ny ||
-					prev.cf.Nz != cf.Nz || prev.cf.PartitionDim != cf.PartitionDim {
+				// Only duplicates pay for serializing their frames.
+				if !bytes.Equal(codec.EncodeFrame(prev.Parts[0]), codec.EncodeFrame(cf.Parts[0])) ||
+					prev.Nx != cf.Nx || prev.Ny != cf.Ny || prev.Nz != cf.Nz || prev.PartitionDim != cf.PartitionDim {
 					return nil, fmt.Errorf("core: %w: step %d field %q partition %d differs between shards",
 						errCorrupt, s, field, part)
 				}
 				rep.DuplicateParts++
 				continue
 			}
-			slots[part] = partSlot{cf: cf, enc: enc}
+			slots[part] = cf
 		}
 	}
 	if len(byField) == 0 {
@@ -270,16 +266,16 @@ func mergeStep(readers []*StreamReader, s, nParts int, rep *MergeReport) (map[st
 		}
 		parts := make([]codec.Frame, want)
 		var geom *CompressedField
-		for id, slot := range slots {
+		for id, cf := range slots {
 			if id >= want {
 				return nil, fmt.Errorf("core: %w: step %d field %q partition %d outside [0,%d)",
 					errCorrupt, s, field, id, want)
 			}
-			parts[id] = slot.cf.Parts[0]
+			parts[id] = cf.Parts[0]
 			if geom == nil {
-				geom = slot.cf
-			} else if geom.Nx != slot.cf.Nx || geom.Ny != slot.cf.Ny || geom.Nz != slot.cf.Nz ||
-				geom.PartitionDim != slot.cf.PartitionDim {
+				geom = cf
+			} else if geom.Nx != cf.Nx || geom.Ny != cf.Ny || geom.Nz != cf.Nz ||
+				geom.PartitionDim != cf.PartitionDim {
 				return nil, fmt.Errorf("core: %w: step %d field %q has inconsistent geometry across shards",
 					errCorrupt, s, field)
 			}

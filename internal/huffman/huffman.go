@@ -48,7 +48,7 @@ type code struct {
 }
 
 // symFreq is one present symbol and its frequency, in ascending symbol
-// order. The Huffman heap and the canonical code assignment both run over
+// order. The Huffman tree and the canonical code assignment both run over
 // this list, so the tie-breaking (and therefore the emitted bit stream) is
 // deterministic.
 type symFreq struct {
@@ -56,14 +56,12 @@ type symFreq struct {
 	freq int64
 }
 
-// heapNode is one node of the Huffman tree, stored in a flat arena. The
-// arena index doubles as the creation-order tie-break: leaves are created
-// in ascending symbol order, internal nodes strictly afterwards, exactly
-// matching the classic heap construction this replaces.
-type heapNode struct {
-	freq        int64
-	left, right int32 // arena indices, -1 for leaves
-	pair        int32 // index into the symFreq list (leaves only)
+// treeNode is one internal node of the Huffman tree, stored in a flat
+// arena after the n leaves: kid holds the arena indices of its children
+// (leaf i is pairs[i]).
+type treeNode struct {
+	freq int64
+	kid  [2]int32
 }
 
 // Scratch holds the reusable working state of the encoder: frequency and
@@ -72,14 +70,15 @@ type heapNode struct {
 // Scratch per worker removes the per-call table allocations. A Scratch must
 // not be used concurrently; the zero value is ready to use.
 type Scratch struct {
-	freq  []int64   // dense frequency table, indexed by symbol
-	codes []code    // dense code table, indexed by symbol
-	syms  []int     // present symbols, collected as counted, then sorted
-	pairs []symFreq // present symbols, ascending
-	work  []int64   // flattened frequencies for boundedCodeLengths retries
-	lens  []uint8   // per-pair code lengths
-	nodes []heapNode
-	heap  []int32
+	freq  []int64    // dense frequency table, indexed by symbol
+	codes []code     // dense code table, indexed by symbol
+	syms  []int      // present symbols, collected as counted, then sorted
+	pairs []symFreq  // present symbols, ascending
+	work  []int64    // flattened frequencies for boundedCodeLengths retries
+	lens  []uint8    // per-pair code lengths
+	order []int32    // leaf indices sorted by (freq, index)
+	nodes []treeNode // internal nodes, in creation order
+	depth []int32    // per internal node
 	hdr   []byte
 	// Decoder state (DecompressWith).
 	entries []symLen
@@ -98,108 +97,72 @@ func reuse[T any](buf []T, n int) []T {
 // codeLengthsInto runs the Huffman algorithm over the present symbols and
 // writes each pair's code length into lens. freqs[i] is the (possibly
 // flattened) frequency of pairs[i].
+//
+// It is the classic two-queue construction: once the leaves are sorted,
+// the tree costs O(n). Every merge takes the two least nodes by (freq,
+// arena index), the order a binary heap pops them in (reference_test.go
+// keeps a heap construction as the oracle), because that order fixes the
+// lengths and so the stream bytes. Leaf i has arena index i; internal node
+// k has index n+k. Both queues are ascending in (freq, index): the leaves
+// by the sort, the internal nodes because no merge sums to less than the
+// one before it. The least node is therefore one of the two queue heads,
+// and on equal frequencies the leaf (the smaller index) wins.
 func (s *Scratch) codeLengthsInto(lens []uint8, freqs []int64) {
 	n := len(freqs)
 	if n == 1 {
 		lens[0] = 1
 		return
 	}
-	if cap(s.nodes) < 2*n-1 {
-		s.nodes = make([]heapNode, 0, 2*n-1)
+	order := reuse(s.order, n)
+	for i := range n {
+		order = append(order, int32(i))
 	}
-	nodes := s.nodes[:0]
-	if cap(s.heap) < n {
-		s.heap = make([]int32, 0, n)
-	}
-	h := s.heap[:0]
-	for i := 0; i < n; i++ {
-		nodes = append(nodes, heapNode{freq: freqs[i], left: -1, right: -1, pair: int32(i)})
-		h = append(h, int32(i))
-	}
-	// nodes are appended in increasing (freq-insertion) order, so the arena
-	// index is the deterministic tie-break and the initial heap slice is
-	// already a valid min-heap ordering seed; establish the heap property.
-	less := func(a, b int32) bool {
-		if nodes[a].freq != nodes[b].freq {
-			return nodes[a].freq < nodes[b].freq
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(freqs[a], freqs[b]); c != 0 {
+			return c
 		}
-		return a < b
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	siftUp := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(h[i], h[p]) {
-				return
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	pop := func() int32 {
-		top := h[0]
-		h[0] = h[len(h)-1]
-		h = h[:len(h)-1]
-		siftDown(0)
-		return top
-	}
-	for len(h) > 1 {
-		a := pop()
-		b := pop()
-		nodes = append(nodes, heapNode{freq: nodes[a].freq + nodes[b].freq, left: a, right: b, pair: -1})
-		h = append(h, int32(len(nodes)-1))
-		siftUp(len(h) - 1)
-	}
-	root := h[0]
-	s.nodes, s.heap = nodes, h[:0]
-
-	// Assign depths iteratively (the pre-bounding tree can be as deep as
-	// the alphabet). Depth fits in int32: trees are at most n deep.
-	type frame struct {
-		node  int32
-		depth int32
-	}
-	stack := make([]frame, 0, 64)
-	stack = append(stack, frame{root, 0})
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &nodes[f.node]
-		if nd.left < 0 {
-			d := f.depth
-			if d == 0 {
-				d = 1
-			}
-			if d > maxCodeLen {
-				// Caller re-runs with flattened frequencies; the exact
-				// value only needs to exceed the bound.
-				lens[nd.pair] = maxCodeLen + 1
+		return cmp.Compare(a, b)
+	})
+	nodes := reuse(s.nodes, n-1)[:n-1]
+	leaf, next := 0, 0 // queue heads: order[leaf] and nodes[next]
+	for k := range nodes {
+		var kid [2]int32
+		var sum int64
+		for j := range kid {
+			// next == k: every internal node made so far is merged.
+			if leaf < n && (next == k || freqs[order[leaf]] <= nodes[next].freq) {
+				kid[j] = order[leaf]
+				sum += freqs[order[leaf]]
+				leaf++
 			} else {
-				lens[nd.pair] = uint8(d)
+				kid[j] = int32(n + next)
+				sum += nodes[next].freq
+				next++
 			}
-			continue
 		}
-		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+		nodes[k] = treeNode{freq: sum, kid: kid}
 	}
+
+	// Children precede their parent, so one sweep down from the root (the
+	// last node) assigns every depth. The pre-bounding tree can be as deep
+	// as the alphabet; depths past maxCodeLen only need to exceed it (the
+	// caller re-runs with flattened frequencies).
+	depth := reuse(s.depth, n-1)[:n-1]
+	depth[n-2] = 0
+	for k := n - 2; k >= 0; k-- {
+		d := depth[k] + 1
+		for _, c := range nodes[k].kid {
+			switch {
+			case int(c) >= n:
+				depth[int(c)-n] = d
+			case d > maxCodeLen:
+				lens[c] = maxCodeLen + 1
+			default:
+				lens[c] = uint8(d)
+			}
+		}
+	}
+	s.order, s.nodes, s.depth = order, nodes, depth
 }
 
 // boundedCodeLengthsInto retries with flattened frequencies until no code

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -365,5 +366,158 @@ func TestDifferentialScratchReuse(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: scratch reuse diverged from reference", trial)
 		}
+	}
+}
+
+// heapNode is one node of an arena binary-heap Huffman construction; the
+// arena index is the (freq, index) tie-break.
+type heapNode struct {
+	freq        int64
+	left, right int32 // arena indices, -1 for leaves
+	pair        int32 // index into freqs (leaves only)
+}
+
+// heapCodeLengths is that construction, kept as the reference the two-queue
+// merge must reproduce length for length (including the maxCodeLen+1
+// marker on over-deep leaves).
+func heapCodeLengths(lens []uint8, freqs []int64) {
+	n := len(freqs)
+	if n == 1 {
+		lens[0] = 1
+		return
+	}
+	nodes := make([]heapNode, 0, 2*n-1)
+	h := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		nodes = append(nodes, heapNode{freq: freqs[i], left: -1, right: -1, pair: int32(i)})
+		h = append(h, int32(i))
+	}
+	less := func(a, b int32) bool {
+		if nodes[a].freq != nodes[b].freq {
+			return nodes[a].freq < nodes[b].freq
+		}
+		return a < b
+	}
+	siftDown := func(i int) {
+		for {
+			l, r := 2*i+1, 2*i+2
+			m := i
+			if l < len(h) && less(h[l], h[m]) {
+				m = l
+			}
+			if r < len(h) && less(h[r], h[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	siftUp := func(i int) {
+		for i > 0 {
+			p := (i - 1) / 2
+			if !less(h[i], h[p]) {
+				return
+			}
+			h[i], h[p] = h[p], h[i]
+			i = p
+		}
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	pop := func() int32 {
+		top := h[0]
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(0)
+		return top
+	}
+	for len(h) > 1 {
+		a := pop()
+		b := pop()
+		nodes = append(nodes, heapNode{freq: nodes[a].freq + nodes[b].freq, left: a, right: b, pair: -1})
+		h = append(h, int32(len(nodes)-1))
+		siftUp(len(h) - 1)
+	}
+	type frame struct{ node, depth int32 }
+	stack := []frame{{h[0], 0}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := &nodes[f.node]
+		if nd.left < 0 {
+			lens[nd.pair] = uint8(min(max(f.depth, 1), maxCodeLen+1))
+			continue
+		}
+		stack = append(stack, frame{nd.left, f.depth + 1}, frame{nd.right, f.depth + 1})
+	}
+}
+
+// TestTwoQueueMatchesHeapConstruction: over random histograms (and the shapes
+// that stress ties and depth) the two-queue merge yields the heap
+// construction's lengths exactly, both raw and after the maxCodeLen flattening
+// retry, through one reused Scratch.
+func TestTwoQueueMatchesHeapConstruction(t *testing.T) {
+	var s Scratch
+	check := func(name string, freqs []int64) {
+		t.Helper()
+		want := make([]uint8, len(freqs))
+		heapCodeLengths(want, freqs)
+		got := make([]uint8, len(freqs))
+		s.codeLengthsInto(got, freqs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: lengths %v, heap construction %v", name, got, want)
+		}
+		pairs := make([]symFreq, len(freqs))
+		for i, f := range freqs {
+			pairs[i] = symFreq{sym: i, freq: f}
+		}
+		work := append([]int64(nil), freqs...)
+		for {
+			heapCodeLengths(want, work)
+			if slices.Max(want) <= maxCodeLen {
+				break
+			}
+			for i, c := range work {
+				work[i] = max(c/2, 1)
+			}
+		}
+		s.boundedCodeLengthsInto(got, pairs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: bounded lengths %v, heap construction %v", name, got, want)
+		}
+	}
+	check("n=1", []int64{7})
+	check("n=2", []int64{3, 3})
+	check("n=2 skewed", []int64{9, 1})
+	for _, n := range []int{3, 4, 5, 17, 256, 1000} {
+		eq := make([]int64, n)
+		for i := range eq {
+			eq[i] = 5
+		}
+		check(fmt.Sprintf("all-equal n=%d", n), eq)
+	}
+	// Fibonacci frequencies build a tree as deep as the alphabet, forcing
+	// over-deep leaves and the flattening retry.
+	fib := []int64{1, 1}
+	for len(fib) < 80 {
+		fib = append(fib, fib[len(fib)-1]+fib[len(fib)-2])
+	}
+	check("fibonacci", fib)
+	rev := slices.Clone(fib)
+	slices.Reverse(rev)
+	check("fibonacci reversed", rev)
+	r := stats.NewRNG(25)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(1+r.Intn(3000))
+		spread := int64(1) << uint(r.Intn(20))
+		freqs := make([]int64, n)
+		for i := range freqs {
+			freqs[i] = 1 + int64(r.Uint64()%uint64(spread))
+		}
+		check(fmt.Sprintf("trial %d (n=%d, spread=%d)", trial, n, spread), freqs)
 	}
 }

@@ -154,21 +154,28 @@ func allocationExponent(c float64, s Strategy) float64 {
 // bisection always converges; the box contains avg, so a solution exists.
 func clampToMean(raw []float64, avg, k float64) []float64 {
 	lo, hi := avg/k, avg*k
-	clampAt := func(s float64) []float64 {
-		out := make([]float64, len(raw))
-		for i, v := range raw {
-			x := v * s
-			if x < lo {
-				x = lo
-			}
-			if x > hi {
-				x = hi
-			}
-			out[i] = x
+	// clamp is one bound at scale s. The explicit conversion rounds the
+	// product before it is compared or summed, so no platform fuses it
+	// into the mean's additions.
+	clamp := func(v, s float64) float64 {
+		x := float64(v * s)
+		if x < lo {
+			x = lo
 		}
-		return out
+		if x > hi {
+			x = hi
+		}
+		return x
 	}
-	meanAt := func(s float64) float64 { return stats.MeanOf(clampAt(s)) }
+	// meanAt sums in place, in the order stats.MeanOf would over a
+	// clamped copy: the bisection probes 100+ scales and allocates none.
+	meanAt := func(s float64) float64 {
+		var sum float64
+		for _, v := range raw {
+			sum += clamp(v, s)
+		}
+		return sum / float64(len(raw))
+	}
 
 	// Bracket the scale: s→0 gives mean=lo ≤ avg; a large s gives hi ≥ avg.
 	sLo, sHi := 0.0, 1.0
@@ -183,7 +190,11 @@ func clampToMean(raw []float64, avg, k float64) []float64 {
 			sHi = mid
 		}
 	}
-	return clampAt(sHi)
+	out := make([]float64, len(raw))
+	for i, v := range raw {
+		out[i] = clamp(v, sHi)
+	}
+	return out
 }
 
 // HaloConstraint describes the halo-finder quality budget for a density

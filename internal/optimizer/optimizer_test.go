@@ -335,3 +335,64 @@ func TestQuickHaloBudgetInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refClampToMean is the allocating clampToMean the in-place one replaced:
+// every bisection probe materializes the clamped slice and averages it
+// with stats.MeanOf.
+func refClampToMean(raw []float64, avg, k float64) []float64 {
+	lo, hi := avg/k, avg*k
+	clampAt := func(s float64) []float64 {
+		out := make([]float64, len(raw))
+		for i, v := range raw {
+			x := v * s
+			if x < lo {
+				x = lo
+			}
+			if x > hi {
+				x = hi
+			}
+			out[i] = x
+		}
+		return out
+	}
+	meanAt := func(s float64) float64 { return stats.MeanOf(clampAt(s)) }
+	sLo, sHi := 0.0, 1.0
+	for meanAt(sHi) < avg && sHi < 1e12 {
+		sHi *= 2
+	}
+	for iter := 0; iter < 100; iter++ {
+		mid := (sLo + sHi) / 2
+		if meanAt(mid) < avg {
+			sLo = mid
+		} else {
+			sHi = mid
+		}
+	}
+	return clampAt(sHi)
+}
+
+// TestClampToMeanMatchesReference: the in-place bisection plans every
+// bound bit-identically to the allocating reference, and allocates only
+// its result.
+func TestClampToMeanMatchesReference(t *testing.T) {
+	r := stats.NewRNG(5)
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(600)
+		avg := math.Exp(-8 + 10*r.Float64())
+		k := 1 + 20*r.Float64()
+		raw := make([]float64, n)
+		for i := range raw {
+			raw[i] = avg * math.Exp(4*r.NormFloat64())
+		}
+		got, want := clampToMean(raw, avg, k), refClampToMean(raw, avg, k)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (n=%d, avg=%g, k=%g): bound %d is %v, reference %v", trial, n, avg, k, i, got[i], want[i])
+			}
+		}
+	}
+	raw := spreadFeatures(512, 3)
+	if allocs := testing.AllocsPerRun(10, func() { clampToMean(raw, 0.1, 10) }); allocs > 1 {
+		t.Errorf("clampToMean allocates %.0f times per call, want 1 (its result)", allocs)
+	}
+}

@@ -44,28 +44,34 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Bytes serializes the brick.
 func (c *Compressed) Bytes() []byte {
-	out := make([]byte, headerSize, headerSize+len(c.codeStream)+len(c.outliers))
-	copy(out[0:4], magic)
-	out[4] = version
-	out[5] = byte(c.Opt.Mode)
-	out[6] = byte(c.Opt.Predictor)
+	return c.AppendBytes(make([]byte, 0, c.CompressedSize()))
+}
+
+// AppendBytes appends the serialized brick to dst and returns the extended
+// slice: the one serializer Bytes wraps.
+func (c *Compressed) AppendBytes(dst []byte) []byte {
+	var hdr [headerSize]byte
+	copy(hdr[0:4], magic)
+	hdr[4] = version
+	hdr[5] = byte(c.Opt.Mode)
+	hdr[6] = byte(c.Opt.Predictor)
 	if c.lattice {
-		out[7] = 1
+		hdr[7] = 1
 	}
-	binary.LittleEndian.PutUint64(out[8:16], math.Float64bits(c.Opt.ErrorBound))
-	binary.LittleEndian.PutUint32(out[16:20], uint32(c.Opt.radius()))
-	binary.LittleEndian.PutUint32(out[20:24], uint32(c.Nx))
-	binary.LittleEndian.PutUint32(out[24:28], uint32(c.Ny))
-	binary.LittleEndian.PutUint32(out[28:32], uint32(c.Nz))
-	binary.LittleEndian.PutUint64(out[32:40], math.Float64bits(c.logShift))
-	binary.LittleEndian.PutUint32(out[40:44], uint32(len(c.codeStream)))
-	binary.LittleEndian.PutUint32(out[44:48], uint32(len(c.outliers)))
+	binary.LittleEndian.PutUint64(hdr[8:16], math.Float64bits(c.Opt.ErrorBound))
+	binary.LittleEndian.PutUint32(hdr[16:20], uint32(c.Opt.radius()))
+	binary.LittleEndian.PutUint32(hdr[20:24], uint32(c.Nx))
+	binary.LittleEndian.PutUint32(hdr[24:28], uint32(c.Ny))
+	binary.LittleEndian.PutUint32(hdr[28:32], uint32(c.Nz))
+	binary.LittleEndian.PutUint64(hdr[32:40], math.Float64bits(c.logShift))
+	binary.LittleEndian.PutUint32(hdr[40:44], uint32(len(c.codeStream)))
+	binary.LittleEndian.PutUint32(hdr[44:48], uint32(len(c.outliers)))
 	crc := crc32.Checksum(c.codeStream, crcTable)
 	crc = crc32.Update(crc, crcTable, c.outliers)
-	binary.LittleEndian.PutUint32(out[48:52], crc)
-	out = append(out, c.codeStream...)
-	out = append(out, c.outliers...)
-	return out
+	binary.LittleEndian.PutUint32(hdr[48:52], crc)
+	dst = append(dst, hdr[:]...)
+	dst = append(dst, c.codeStream...)
+	return append(dst, c.outliers...)
 }
 
 // Parse deserializes a brick previously produced by Bytes. The payload CRC

@@ -1110,14 +1110,21 @@ func (ix *Indexed) spliceInto(w *huffman.BitWriter, budget int) {
 
 // Bytes serializes the compressed field.
 func (c *Compressed) Bytes() []byte {
-	out := make([]byte, headerSize, headerSize+len(c.payload))
-	copy(out[0:4], magic)
-	binary.LittleEndian.PutUint32(out[4:8], 1)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(c.Nx))
-	binary.LittleEndian.PutUint32(out[12:16], uint32(c.Ny))
-	binary.LittleEndian.PutUint32(out[16:20], uint32(c.Nz))
-	binary.LittleEndian.PutUint64(out[20:28], math.Float64bits(c.Rate))
-	return append(out, c.payload...)
+	return c.AppendBytes(make([]byte, 0, c.CompressedSize()))
+}
+
+// AppendBytes appends the serialized field to dst and returns the extended
+// slice: the one serializer Bytes wraps.
+func (c *Compressed) AppendBytes(dst []byte) []byte {
+	var hdr [headerSize]byte
+	copy(hdr[0:4], magic)
+	binary.LittleEndian.PutUint32(hdr[4:8], 1)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(c.Nx))
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(c.Ny))
+	binary.LittleEndian.PutUint32(hdr[16:20], uint32(c.Nz))
+	binary.LittleEndian.PutUint64(hdr[20:28], math.Float64bits(c.Rate))
+	dst = append(dst, hdr[:]...)
+	return append(dst, c.payload...)
 }
 
 // Parse deserializes a compressed field. Headers are hostile until proven
