@@ -314,6 +314,64 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestNonFiniteConfigRejected walks every entry point that takes an error
+// bound, a budget or a tuning factor: NaN (which fails every ordered
+// comparison, so `x <= 0` checks let it through) and +Inf bounds must be
+// refused as ErrBadConfig, not run as a silently degraded configuration.
+func TestNonFiniteConfigRejected(t *testing.T) {
+	ctx := context.Background()
+	f := testField(16)
+	nan, inf := math.NaN(), math.Inf(1)
+	sys := newSystem(t, adaptive.WithPartitionDim(8))
+	cal, err := sys.Calibrate(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	features, err := sys.Features(ctx, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newWith := func(o adaptive.Option) func() error {
+		return func() error { _, err := adaptive.New(o); return err }
+	}
+	runRank := func(cfg adaptive.RankConfig) func() error {
+		return func() error {
+			return adaptive.RunWorld(1, func(tr adaptive.Transport) error {
+				_, err := adaptive.RunRank(ctx, tr, distSource(t), io.Discard, cfg)
+				return err
+			})
+		}
+	}
+	for name, call := range map[string]func() error{
+		"WithClampFactor(NaN)":    newWith(adaptive.WithClampFactor(nan)),
+		"WithRelAvgEB(NaN)":       newWith(adaptive.WithRelAvgEB(nan)),
+		"WithRelAvgEB(+Inf)":      newWith(adaptive.WithRelAvgEB(inf)),
+		"WithFieldBudget(NaN)":    newWith(adaptive.WithFieldBudget("rho", nan)),
+		"WithFieldBudget(+Inf)":   newWith(adaptive.WithFieldBudget("rho", inf)),
+		"WithDriftThreshold(NaN)": newWith(adaptive.WithDriftThreshold(nan)),
+		"WithModelGuardBand(NaN)": newWith(adaptive.WithModelGuardBand(nan)),
+		"RunRank AvgEB NaN":       runRank(adaptive.RankConfig{Engine: adaptive.EngineConfig{PartitionDim: 8}, AvgEB: nan}),
+		"RunRank AvgEB +Inf":      runRank(adaptive.RankConfig{Engine: adaptive.EngineConfig{PartitionDim: 8}, AvgEB: inf}),
+		"RunRank ClampFactor NaN": runRank(adaptive.RankConfig{Engine: adaptive.EngineConfig{PartitionDim: 8, ClampFactor: nan}, AvgEB: 0.5}),
+		"CompressStatic(NaN)":     func() error { _, err := sys.CompressStatic(ctx, f, nan); return err },
+		"CompressStatic(+Inf)":    func() error { _, err := sys.CompressStatic(ctx, f, inf); return err },
+		"Plan AvgEB NaN":          func() error { _, err := sys.Plan(ctx, f, cal, adaptive.PlanOptions{AvgEB: nan}); return err },
+		"Plan AvgEB +Inf":         func() error { _, err := sys.Plan(ctx, f, cal, adaptive.PlanOptions{AvgEB: inf}); return err },
+		"PlanFromFeatures AvgEB NaN": func() error {
+			_, err := sys.PlanFromFeatures(features, cal, adaptive.PlanOptions{AvgEB: nan})
+			return err
+		},
+		"PlanFromFeatures AvgEB +Inf": func() error {
+			_, err := sys.PlanFromFeatures(features, cal, adaptive.PlanOptions{AvgEB: inf})
+			return err
+		},
+	} {
+		if err := call(); !errors.Is(err, adaptive.ErrBadConfig) {
+			t.Errorf("%s: err %v, want ErrBadConfig", name, err)
+		}
+	}
+}
+
 // TestDriftRecalibrationError forces a mid-run re-fit to fail (the
 // drifted step is a constant field, which cannot be calibrated) and
 // asserts both errors.Is on the sentinel and errors.As on the typed form.

@@ -51,7 +51,7 @@ type ArchiveWriterOptions = archiveserve.WriterOptions
 type ArchiveFieldSpec = archiveserve.FieldSpec
 
 // ArchiveFetchOptions selects the representation Client.FetchField asks
-// for: a spliced rate, an SZ preview rung, or a revalidation ETag.
+// for: a spliced rate or a revalidation ETag.
 type ArchiveFetchOptions = client.FetchOptions
 
 // ArchiveFetchResult is one Client.FetchField read.

@@ -38,16 +38,6 @@ const (
 	PWREL Mode = codec.PWREL
 )
 
-// Predictor selects the prediction scheme of prediction-based codecs.
-type Predictor = codec.Predictor
-
-const (
-	// Lorenzo3D is the first-order 3-D Lorenzo predictor used by SZ.
-	Lorenzo3D Predictor = codec.Lorenzo3D
-	// MeanNeighbor predicts the average of the three causal neighbours.
-	MeanNeighbor Predictor = codec.MeanNeighbor
-)
-
 // Options are the codec-agnostic knobs of one compression call; each
 // backend consumes the subset it understands.
 type Options = codec.Options

@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/apierr"
 	"repro/internal/codec"
@@ -81,21 +82,11 @@ func WithMode(m codecs.Mode) Option {
 	}
 }
 
-// WithPredictor selects the prediction scheme of prediction-based codecs
-// (default codecs.Lorenzo3D).
-func WithPredictor(p codecs.Predictor) Option {
-	return func(c *config) error {
-		c.engine.Predictor = p
-		c.engineOnly("WithPredictor")
-		return nil
-	}
-}
-
 // WithClampFactor sets the optimizer's error-bound box k: each planned
 // bound is clamped to [avg/k, k·avg] (default 4, the paper's choice).
 func WithClampFactor(k float64) Option {
 	return func(c *config) error {
-		if k < 1 {
+		if !(k >= 1) { // NaN-safe
 			return fmt.Errorf("adaptive: %w: clamp factor %g must be ≥ 1", apierr.ErrBadConfig, k)
 		}
 		c.engine.ClampFactor = k
@@ -131,8 +122,8 @@ func WithCalibration(o CalibrationOptions) Option {
 // corrections entirely).
 func WithModelGuardBand(gb float64) Option {
 	return func(c *config) error {
-		if gb == 0 {
-			return fmt.Errorf("adaptive: %w: model guard band must be positive (or negative to disable)", apierr.ErrBadConfig)
+		if gb == 0 || math.IsNaN(gb) {
+			return fmt.Errorf("adaptive: %w: model guard band %g must be positive (or negative to disable)", apierr.ErrBadConfig, gb)
 		}
 		c.pipe.ModelGuardBand = gb
 		c.engineOnly("WithModelGuardBand")
@@ -154,7 +145,7 @@ func WithPolicy(p Policy) Option {
 // that triggers recalibration under DriftTriggered (default 0.25).
 func WithDriftThreshold(t float64) Option {
 	return func(c *config) error {
-		if t < 0 {
+		if !(t >= 0) { // NaN-safe
 			return fmt.Errorf("adaptive: %w: drift threshold %g must be ≥ 0", apierr.ErrBadConfig, t)
 		}
 		c.pipe.DriftThreshold = t
@@ -167,8 +158,8 @@ func WithDriftThreshold(t float64) Option {
 // global mean |value| at first calibration (default 0.1).
 func WithRelAvgEB(r float64) Option {
 	return func(c *config) error {
-		if r <= 0 {
-			return fmt.Errorf("adaptive: %w: relative budget %g must be positive", apierr.ErrBadConfig, r)
+		if !(r > 0) || math.IsInf(r, 1) {
+			return fmt.Errorf("adaptive: %w: relative budget %g must be positive and finite", apierr.ErrBadConfig, r)
 		}
 		c.pipe.RelAvgEB = r
 		c.engineOnly("WithRelAvgEB")
@@ -180,8 +171,8 @@ func WithRelAvgEB(r float64) Option {
 // error bound for one named field; repeat for several fields.
 func WithFieldBudget(field string, avgEB float64) Option {
 	return func(c *config) error {
-		if avgEB <= 0 {
-			return fmt.Errorf("adaptive: %w: budget %g for field %q must be positive", apierr.ErrBadConfig, avgEB, field)
+		if !(avgEB > 0) || math.IsInf(avgEB, 1) {
+			return fmt.Errorf("adaptive: %w: budget %g for field %q must be positive and finite", apierr.ErrBadConfig, avgEB, field)
 		}
 		if c.pipe.AvgEBs == nil {
 			c.pipe.AvgEBs = make(map[string]float64)

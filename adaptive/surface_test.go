@@ -56,7 +56,6 @@ func TestFacadeSurface(t *testing.T) {
 		adaptive.WithWorkers(2),
 		adaptive.WithCodec("sz"),
 		adaptive.WithMode(codecs.ABS),
-		adaptive.WithPredictor(codecs.Lorenzo3D),
 		adaptive.WithClampFactor(4),
 		adaptive.WithStrategy(adaptive.EqualDerivative),
 		adaptive.WithCalibration(adaptive.CalibrationOptions{Partitions: 8, Mode: adaptive.ModelScan}),

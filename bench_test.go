@@ -97,7 +97,6 @@ func BenchmarkFig19SimulationScale(b *testing.B)        { benchExperiment(b, "fi
 func BenchmarkSec43Overhead(b *testing.B)               { benchExperiment(b, "sec43") }
 
 // Ablation benches (design-choice studies; see README.md).
-func BenchmarkAblationPredictor(b *testing.B)         { benchExperiment(b, "ablation-predictor") }
 func BenchmarkAblationClamp(b *testing.B)             { benchExperiment(b, "ablation-clamp") }
 func BenchmarkAblationOptimizationOrder(b *testing.B) { benchExperiment(b, "ablation-strategy") }
 func BenchmarkAblationCmSource(b *testing.B)          { benchExperiment(b, "ablation-cm") }

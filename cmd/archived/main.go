@@ -2,15 +2,15 @@
 // max-rate v3 stream per snapshot on disk, any lower rate synthesized per
 // request by bit-prefix splicing (never recompression), with a
 // byte-budgeted representation cache, strong ETags for CDN revalidation,
-// and HTTP Range support. SZ fields are served as decode-side coarsened
-// previews.
+// and HTTP Range support. SZ fields written by other tools are served as
+// stored.
 //
 // Usage:
 //
 //	archived -dir store/ [-addr :8324] [-cache-mb 256]
 //
 //	archived -gen -dir store/ -stream demo [-steps 3] [-dim 32] \
-//	         [-rate 16] [-fields 2] [-sz-field temperature -eb 1e-3] [-seed 7]
+//	         [-rate 16] [-fields 2] [-seed 7]
 //	    Generate a synthetic Nyx-like stream into the store.
 //
 //	archived -splice archive.bin -rate 2 [-o out.bin]
@@ -24,7 +24,6 @@
 //	GET /v1/archive/{stream}/manifest             steps, fields, rate rungs
 //	GET /v1/archive/{stream}/{step}/{field}       stored bytes (v2 archive)
 //	    ?rate=R                                   spliced to R bits/value
-//	    ?preview=N                                sz preview (raw field wire)
 //	GET /v1/stats                                 cache + per-tier counters
 //
 // On SIGTERM/SIGINT the listener stops accepting, in-flight responses
@@ -41,7 +40,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -62,8 +60,6 @@ func main() {
 		dim     = flag.Int("dim", 32, "field edge length (with -gen)")
 		rate    = flag.Float64("rate", 16, "stored ZFP rate with -gen; target rate with -splice")
 		nFields = flag.Int("fields", 2, "ZFP fields per step (with -gen, max 6)")
-		szField = flag.String("sz-field", "", "also archive this field as SZ for previews (with -gen)")
-		eb      = flag.Float64("eb", 1e-3, "SZ absolute error bound for -sz-field (with -gen)")
 		seed    = flag.Uint64("seed", 7, "synthetic universe seed (with -gen)")
 
 		splice = flag.String("splice", "", "splice this stored v2 archive file locally and exit")
@@ -77,7 +73,7 @@ func main() {
 			log.Fatal(err)
 		}
 	case *gen:
-		if err := runGen(*dir, *stream, *steps, *dim, *rate, *nFields, *szField, *eb, *seed); err != nil {
+		if err := runGen(*dir, *stream, *steps, *dim, *rate, *nFields, *seed); err != nil {
 			log.Fatal(err)
 		}
 	default:
@@ -104,7 +100,7 @@ func runSplice(path string, rate float64, out string) error {
 	return os.WriteFile(out, spliced, 0o644)
 }
 
-func runGen(dir, stream string, steps, dim int, rate float64, nFields int, szField string, eb float64, seed uint64) error {
+func runGen(dir, stream string, steps, dim int, rate float64, nFields int, seed uint64) error {
 	if dir == "" {
 		return errors.New("-gen requires -dir")
 	}
@@ -113,17 +109,6 @@ func runGen(dir, stream string, steps, dim int, rate float64, nFields int, szFie
 		return fmt.Errorf("-fields must be 1..%d", len(names))
 	}
 	names = names[:nFields]
-	if szField != "" {
-		found := false
-		for _, n := range adaptive.FieldNames() {
-			if n == szField {
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("-sz-field %q is not a synthetic field (have %s)", szField, strings.Join(adaptive.FieldNames(), ", "))
-		}
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -147,14 +132,9 @@ func runGen(dir, stream string, steps, dim int, rate float64, nFields int, szFie
 		if err != nil {
 			return err
 		}
-		step := make(map[string]adaptive.ArchiveFieldSpec, len(names)+1)
+		step := make(map[string]adaptive.ArchiveFieldSpec, len(names))
 		for _, name := range names {
 			step[name] = adaptive.ArchiveFieldSpec{Field: fields[name]}
-		}
-		if szField != "" {
-			step[szField+"_preview"] = adaptive.ArchiveFieldSpec{
-				Field: fields[szField], Codec: "sz", ErrorBound: eb,
-			}
 		}
 		if err := w.WriteStep(step); err != nil {
 			return err
@@ -200,8 +180,8 @@ func runServe(dir, addr string, cacheBytes int64) error {
 			return err
 		}
 		st := srv.Stats()
-		log.Printf("served: cache %d hits / %d misses / %d evictions, %d splices, %d preview decodes",
-			st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Splices, st.PreviewDecodes)
+		log.Printf("served: cache %d hits / %d misses / %d evictions, %d splices",
+			st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Splices)
 		return nil
 	}
 }

@@ -20,7 +20,7 @@ import (
 // the facade's reference splice.
 func TestGenServeSplice(t *testing.T) {
 	dir := t.TempDir()
-	if err := runGen(dir, "demo", 2, 16, 8, 2, "temperature", 1e-3, 1); err != nil {
+	if err := runGen(dir, "demo", 2, 16, 8, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,14 +64,11 @@ func TestGenServeSplice(t *testing.T) {
 	if err := runSplice(filepath.Join(dir, "missing.bin"), 2, ""); err == nil {
 		t.Fatal("runSplice on a missing file should fail")
 	}
-	if err := runGen("", "x", 1, 16, 8, 1, "", 0, 1); err == nil {
+	if err := runGen("", "x", 1, 16, 8, 1, 1); err == nil {
 		t.Fatal("runGen without a dir should fail")
 	}
-	if err := runGen(dir, "x", 1, 16, 8, 0, "", 0, 1); err == nil {
+	if err := runGen(dir, "x", 1, 16, 8, 0, 1); err == nil {
 		t.Fatal("runGen with zero fields should fail")
-	}
-	if err := runGen(dir, "x", 1, 16, 8, 1, "no_such_field", 1e-3, 1); err == nil {
-		t.Fatal("runGen with an unknown sz field should fail")
 	}
 }
 
@@ -83,7 +80,7 @@ func TestRunServeGracefulShutdown(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := runGen(dir, "demo", 1, 16, 8, 1, "", 0, 1); err != nil {
+	if err := runGen(dir, "demo", 1, 16, 8, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")

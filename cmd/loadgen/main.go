@@ -288,13 +288,10 @@ func runRead(cfg readConfig) {
 	if err != nil {
 		log.Fatalf("manifest for %q: %v", cfg.stream, err)
 	}
-	var zfpFields, szFields []string
+	var zfpFields []string
 	for _, f := range m.Fields {
 		if f.Progressive {
 			zfpFields = append(zfpFields, f.Name)
-		}
-		if f.Preview {
-			szFields = append(szFields, f.Name)
 		}
 	}
 	if len(zfpFields) == 0 {
@@ -333,22 +330,12 @@ func runRead(cfg readConfig) {
 			ctx := context.Background()
 			for time.Now().Before(deadline) {
 				step := m.Steps - 1 - int(zipf.Uint64())
-				var field string
-				opt := adaptive.ArchiveFetchOptions{}
+				opt := adaptive.ArchiveFetchOptions{Rate: cfg.analysisRate}
 				if rng.Float64() < cfg.browseFrac {
-					// Browse: low-rate splice, occasionally an sz preview.
-					if len(szFields) > 0 && rng.Float64() < 0.2 {
-						field = szFields[rng.Intn(len(szFields))]
-						opt.PreviewOctaves = 2
-					} else {
-						field = zfpFields[rng.Intn(len(zfpFields))]
-						opt.Rate = cfg.browseRate
-					}
-				} else {
-					field = zfpFields[rng.Intn(len(zfpFields))]
-					opt.Rate = cfg.analysisRate
+					opt.Rate = cfg.browseRate
 				}
-				key := fmt.Sprintf("%d/%s/%g/%d", step, field, opt.Rate, opt.PreviewOctaves)
+				field := zfpFields[rng.Intn(len(zfpFields))]
+				key := fmt.Sprintf("%d/%s/%g", step, field, opt.Rate)
 				opt.ETag = etags[key]
 				t0 := time.Now()
 				res, err := cl.FetchField(ctx, cfg.stream, step, field, opt)
@@ -406,8 +393,8 @@ func runRead(cfg readConfig) {
 	}
 	log.Printf("%d readers for %v: %d ok (%.1f steps/sec), %d revalidated (304), %d failed",
 		cfg.clients, elapsed.Round(time.Millisecond), total.ok, stepsPerSec, total.notModified, total.failed)
-	log.Printf("server cache: %.1f%% hit ratio (%d hits / %d misses / %d evictions), %d splices, %d preview decodes, %d merged flights",
-		100*hitRatio, st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Splices, st.PreviewDecodes, st.Cache.SingleflightMerged)
+	log.Printf("server cache: %.1f%% hit ratio (%d hits / %d misses / %d evictions), %d splices, %d merged flights",
+		100*hitRatio, st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Splices, st.Cache.SingleflightMerged)
 	log.Printf("latency p50 %v p99 %v; %.1f MiB served",
 		p50.Round(time.Microsecond), p99.Round(time.Microsecond), float64(total.bytesIn)/(1<<20))
 
@@ -429,7 +416,6 @@ func runRead(cfg readConfig) {
 			"steps_per_sec":   stepsPerSec,
 			"cache_hit_ratio": hitRatio,
 			"splices":         st.Splices,
-			"preview_decodes": st.PreviewDecodes,
 			"latency_p50_ms":  float64(p50) / float64(time.Millisecond),
 			"latency_p99_ms":  float64(p99) / float64(time.Millisecond),
 			"bytes_served":    total.bytesIn,

@@ -4,9 +4,9 @@
 // representation on demand by bit-prefix splicing — never by
 // recompression. ZFP's embedded per-block coding makes a rate-R stream a
 // strict bit prefix of the rate-max stream, so one stored artifact serves
-// the whole quality ladder: previews for browsing, intermediate rates for
-// interactive analysis, the full stream for archival reads. SZ fields
-// join the ladder with a decode-side coarsened preview rung.
+// the whole quality ladder: low rates for browsing, intermediate rates for
+// interactive analysis, the full stream for archival reads. SZ fields are
+// served as stored.
 //
 // Synthesized representations are cached in a byte-budgeted LRU keyed by
 // (stream, step, field, variant) and validated by strong ETags derived
@@ -41,7 +41,6 @@ type Config struct {
 // Tier names requests by the quality rung they land on; /v1/stats reports
 // one counter row per tier.
 const (
-	TierPreview  = "preview"  // sz coarsened rung
 	TierBrowse   = "browse"   // spliced rate ≤ 8 bits/value
 	TierAnalysis = "analysis" // spliced rate > 8 bits/value
 	TierFull     = "full"     // stored max-rate bytes
@@ -62,10 +61,9 @@ type TierStats struct {
 type Stats struct {
 	Cache CacheStats            `json:"cache"`
 	Tiers map[string]*TierStats `json:"tiers"`
-	// Splices and PreviewDecodes count actual synthesis work — a cache-hot
-	// fetch increments neither, which is the serving path's whole point.
+	// Splices counts actual synthesis work — a cache-hot fetch does not
+	// increment it, which is the serving path's whole point.
 	Splices         uint64 `json:"splices"`
-	PreviewDecodes  uint64 `json:"preview_decodes"`
 	SidecarRebuilds uint64 `json:"sidecar_rebuilds"`
 }
 
@@ -75,10 +73,9 @@ type Server struct {
 	cache *blockCache
 	mux   *http.ServeMux
 
-	mu       sync.Mutex
-	tiers    map[string]*TierStats
-	splices  uint64
-	previews uint64
+	mu      sync.Mutex
+	tiers   map[string]*TierStats
+	splices uint64
 }
 
 // New opens the store and builds the server.
@@ -95,7 +92,7 @@ func New(cfg Config) (*Server, error) {
 		cache: newBlockCache(cfg.CacheBytes),
 		mux:   http.NewServeMux(),
 		tiers: map[string]*TierStats{
-			TierPreview: {}, TierBrowse: {}, TierAnalysis: {}, TierFull: {},
+			TierBrowse: {}, TierAnalysis: {}, TierFull: {},
 		},
 	}
 	s.mux.HandleFunc("GET /v1/archive", s.handleList)
@@ -120,10 +117,9 @@ func (s *Server) Stats() Stats {
 		tiers[name] = &cp
 	}
 	st := Stats{
-		Cache:          s.cache.stats(),
-		Tiers:          tiers,
-		Splices:        s.splices,
-		PreviewDecodes: s.previews,
+		Cache:   s.cache.stats(),
+		Tiers:   tiers,
+		Splices: s.splices,
 	}
 	s.mu.Unlock()
 	s.store.mu.Lock()
@@ -171,8 +167,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // variant is one resolved representation choice for a field request.
 type variant struct {
 	tier  string
-	token string  // ETag/cache-key token ("full", "r4", "p2", ...)
-	rate  float64 // the rate actually served (ZFP fields; 0 for preview)
+	token string  // ETag/cache-key token ("full", "r4", ...)
+	rate  float64 // the rate actually served (ZFP fields; 0 for stored sz)
 	build func() ([]byte, error)
 }
 
@@ -253,32 +249,19 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resolveVariant negotiates the representation: ?preview=N (sz fields),
-// ?rate=R (zfp fields, quantized up to the quarter-bit bucket, capped at
-// the stored rate), or neither (the stored bytes verbatim).
+// resolveVariant negotiates the representation: ?rate=R (zfp fields,
+// quantized up to the quarter-bit bucket, capped at the stored rate) or
+// nothing (the stored bytes verbatim). Any other query key is refused, so
+// a client asking for a representation the server does not make never
+// receives the stored bytes in its place.
 func (s *Server) resolveVariant(r *http.Request, str *stream, step int, fl *core.FieldLayout) (*variant, error) {
 	q := r.URL.Query()
-	rateStr, hasRate := q.Get("rate"), q.Has("rate")
-	prevStr, hasPrev := q.Get("preview"), q.Has("preview")
-	if hasRate && hasPrev {
-		return nil, fmt.Errorf("archiveserve: %w: rate and preview are mutually exclusive", apierr.ErrBadConfig)
-	}
-	if hasPrev {
-		octaves, err := strconv.Atoi(prevStr)
-		if err != nil || octaves < 1 {
-			return nil, fmt.Errorf("archiveserve: %w: preview %q, need a positive octave count", apierr.ErrBadConfig, prevStr)
+	for key := range q {
+		if key != "rate" {
+			return nil, fmt.Errorf("archiveserve: %w: unknown query parameter %q (only rate is served)", apierr.ErrBadConfig, key)
 		}
-		return &variant{
-			tier:  TierPreview,
-			token: "p" + strconv.Itoa(octaves),
-			build: func() ([]byte, error) {
-				s.mu.Lock()
-				s.previews++
-				s.mu.Unlock()
-				return str.preview(step, fl, octaves)
-			},
-		}, nil
 	}
+	rateStr, hasRate := q.Get("rate"), q.Has("rate")
 	full := &variant{
 		tier:  TierFull,
 		token: "full",

@@ -18,8 +18,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/grid"
-	"repro/internal/server"
-	"repro/internal/sz"
 	"repro/internal/zfp"
 )
 
@@ -419,7 +417,7 @@ func TestManifestRungSizesAreExact(t *testing.T) {
 	if !rho.Progressive || rho.MaxRate != 16 || rho.Codec != string(codec.ZFP) {
 		t.Fatalf("rho manifest %+v", rho)
 	}
-	if !temp.Preview || temp.Codec != string(codec.SZ) || temp.Progressive {
+	if temp.Codec != string(codec.SZ) || temp.Progressive || len(temp.Rungs) != 0 {
 		t.Fatalf("temp manifest %+v", temp)
 	}
 	// Every advertised rung size must equal the actual spliced body length.
@@ -442,23 +440,19 @@ func TestManifestRungSizesAreExact(t *testing.T) {
 	}
 }
 
-func TestPreviewRungMatchesLocalPreviewDecode(t *testing.T) {
+// TestSZFieldServedAsStored: an sz field is served as its stored bytes,
+// and a request for a representation the server does not make (the
+// retired ?preview rung, or any key but rate) is refused with bad_config
+// instead of answered with those bytes.
+func TestSZFieldServedAsStored(t *testing.T) {
 	dir := t.TempDir()
 	path := writeTestStream(t, dir, "run1", 1, 16)
-	srv, ts := newTestServer(t, dir)
+	_, ts := newTestServer(t, dir)
 
-	resp, body := get(t, ts.URL+"/v1/archive/run1/0/temp?preview=2", nil)
+	resp, body := get(t, ts.URL+"/v1/archive/run1/0/temp", nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("preview: status %d (%s)", resp.StatusCode, body)
+		t.Fatalf("sz field: status %d (%s)", resp.StatusCode, body)
 	}
-	got, err := server.DecodeField(body, 1<<22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Nx != 16 || got.Ny != 16 || got.Nz != 16 {
-		t.Fatalf("preview dims %d×%d×%d", got.Nx, got.Ny, got.Nz)
-	}
-	// Reproduce locally: decode each stored sz partition at 2 octaves.
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -473,32 +467,24 @@ func TestPreviewRungMatchesLocalPreviewDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := fields["temp"]
-	p, err := grid.NewPartitioner(cf.Nx, cf.Ny, cf.Nz, cf.Nx/cf.PartitionDim, cf.Ny/cf.PartitionDim, cf.Nz/cf.PartitionDim)
-	if err != nil {
-		t.Fatal(err)
+	if want := fields["temp"].Bytes(); !bytes.Equal(body, want) {
+		t.Fatalf("served %d bytes, stored field is %d", len(body), len(want))
 	}
-	want := grid.NewField3D(cf.Nx, cf.Ny, cf.Nz)
-	for i, part := range cf.Parts {
-		c, err := sz.Parse(part.AppendBytes(nil))
-		if err != nil {
-			t.Fatal(err)
+
+	for _, url := range []string{
+		"/v1/archive/run1/0/temp?preview=2",
+		"/v1/archive/run1/0/rho?preview=2",
+		"/v1/archive/run1/0/rho?rate=4&preview=2",
+		"/v1/archive/run1/0/rho?Rate=4",
+	} {
+		resp, body := get(t, ts.URL+url, nil)
+		var eb struct {
+			Error struct{ Code string } `json:"error"`
 		}
-		brick, _, err := sz.DecompressPreview(c, 2)
-		if err != nil {
-			t.Fatal(err)
+		_ = json.Unmarshal(body, &eb)
+		if resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_config" {
+			t.Errorf("%s: status %d code %q, want 400 bad_config (%s)", url, resp.StatusCode, eb.Error.Code, body)
 		}
-		if err := grid.Insert(want, p.Partition(i), brick.Data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("preview cell %d: served %v, local %v", i, got.Data[i], want.Data[i])
-		}
-	}
-	if srv.Stats().PreviewDecodes != 1 {
-		t.Fatalf("preview decodes %d, want 1", srv.Stats().PreviewDecodes)
 	}
 }
 
@@ -519,9 +505,6 @@ func TestErrorMapping(t *testing.T) {
 		{"bad rate", "/v1/archive/run1/0/rho?rate=NaN", http.StatusBadRequest},
 		{"negative rate", "/v1/archive/run1/0/rho?rate=-3", http.StatusBadRequest},
 		{"rate on sz field", "/v1/archive/run1/0/temp?rate=4", http.StatusBadRequest},
-		{"preview on zfp field", "/v1/archive/run1/0/rho?preview=2", http.StatusBadRequest},
-		{"rate and preview", "/v1/archive/run1/0/rho?rate=4&preview=2", http.StatusBadRequest},
-		{"bad preview", "/v1/archive/run1/0/temp?preview=0", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, body := get(t, ts.URL+tc.url, nil)

@@ -14,9 +14,6 @@ import (
 	"repro/internal/apierr"
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/grid"
-	"repro/internal/server"
-	"repro/internal/sz"
 	"repro/internal/zfp"
 )
 
@@ -314,44 +311,6 @@ func (s *stream) splice(step int, fl *core.FieldLayout, rate float64) ([]byte, e
 	return cf.Bytes(), nil
 }
 
-// preview reconstructs the SZ progressive rung: every partition is
-// entropy-decoded once, coarsened to the top `octaves` correction
-// octaves (outliers always kept), and the reassembled field is returned
-// in the service's raw field wire format (server.EncodeField).
-func (s *stream) preview(step int, fl *core.FieldLayout, octaves int) ([]byte, error) {
-	p, err := grid.NewPartitioner(fl.Nx, fl.Ny, fl.Nz,
-		fl.Nx/fl.PartitionDim, fl.Ny/fl.PartitionDim, fl.Nz/fl.PartitionDim)
-	if err != nil {
-		return nil, fmt.Errorf("archiveserve: stream %q field %q: %w", s.name, fl.Name, err)
-	}
-	if p.Count() != len(fl.Partitions) {
-		return nil, fmt.Errorf("archiveserve: %w: stream %q field %q has %d partitions, geometry implies %d",
-			apierr.ErrCorruptArchive, s.name, fl.Name, len(fl.Partitions), p.Count())
-	}
-	out := grid.NewField3D(fl.Nx, fl.Ny, fl.Nz)
-	for i, pl := range fl.Partitions {
-		if pl.Codec != codec.SZ {
-			return nil, fmt.Errorf("archiveserve: %w: field %q partition %d is %q, preview is an sz property", apierr.ErrBadConfig, fl.Name, i, pl.Codec)
-		}
-		body, err := s.readRange(pl.BodyOffset, pl.BodyLength)
-		if err != nil {
-			return nil, err
-		}
-		c, err := sz.Parse(body)
-		if err != nil {
-			return nil, fmt.Errorf("archiveserve: stream %q field %q partition %d: %w", s.name, fl.Name, i, err)
-		}
-		brick, _, err := sz.DecompressPreview(c, octaves)
-		if err != nil {
-			return nil, err
-		}
-		if err := grid.Insert(out, p.Partition(i), brick.Data); err != nil {
-			return nil, fmt.Errorf("archiveserve: stream %q field %q partition %d: %w", s.name, fl.Name, i, err)
-		}
-	}
-	return server.EncodeField(out), nil
-}
-
 // Manifest describes one stream to clients: what steps and fields exist,
 // which are progressive, and the exact byte sizes PredictSize derives for
 // the standard rate rungs — everything a reader needs to plan a browse
@@ -382,8 +341,6 @@ type FieldManifest struct {
 	// Rungs are exact predicted sizes at the standard rate rungs
 	// (PredictSize over the sidecar tables — no decompression involved).
 	Rungs []RungSize `json:"rungs,omitempty"`
-	// Preview marks SZ fields servable as a coarsened ?preview rung.
-	Preview bool `json:"preview,omitempty"`
 }
 
 // RungSize is one rate rung's exact serialized archive size.
@@ -421,14 +378,11 @@ func (s *stream) Manifest() (*Manifest, error) {
 		if len(fl.Partitions) > 0 {
 			fm.Codec = string(fl.Partitions[0].Codec)
 		}
-		switch codec.ID(fm.Codec) {
-		case codec.ZFP:
+		if codec.ID(fm.Codec) == codec.ZFP {
 			fm.Progressive = true
 			if err := s.fillRungs(fl, &fm); err != nil {
 				return nil, err
 			}
-		case codec.SZ:
-			fm.Preview = true
 		}
 		m.Fields = append(m.Fields, fm)
 	}

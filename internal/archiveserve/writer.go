@@ -33,8 +33,8 @@ func (o *WriterOptions) defaults() {
 type FieldSpec struct {
 	Field *grid.Field3D
 	// Codec picks the archived representation: ZFP (default) stores the
-	// progressive max-rate stream, SZ stores an error-bounded stream
-	// servable as a coarsened preview.
+	// progressive max-rate stream, SZ an error-bounded stream that is
+	// served as stored.
 	Codec codec.ID
 	// ErrorBound is the SZ pointwise ABS bound (ignored for ZFP).
 	ErrorBound float64

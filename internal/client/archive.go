@@ -18,9 +18,6 @@ type FetchOptions struct {
 	// to its bucket and caps it at the stored rate; FetchResult.ServedRate
 	// reports what was actually negotiated.
 	Rate float64
-	// PreviewOctaves asks for the SZ coarsened preview rung instead
-	// (mutually exclusive with Rate; the server enforces it).
-	PreviewOctaves int
 	// ETag revalidates a previously fetched representation: when the
 	// server still holds the same bytes the result comes back with
 	// NotModified set and no body.
@@ -29,8 +26,7 @@ type FetchOptions struct {
 
 // FetchResult is one archive read.
 type FetchResult struct {
-	// Body is the representation (a v2 field archive for full/rate
-	// fetches, a raw field wire payload for previews). Empty when
+	// Body is the representation, a v2 field archive. Empty when
 	// NotModified.
 	Body []byte
 	// ETag validates this representation on the next fetch.
@@ -40,7 +36,7 @@ type FetchResult struct {
 	// NotModified reports a 304: the caller's cached copy is current.
 	NotModified bool
 	// CacheHit reports whether the server answered from its
-	// representation cache (no splice or decode work happened).
+	// representation cache (no splice work happened).
 	CacheHit bool
 }
 
@@ -51,9 +47,6 @@ func (c *Client) FetchField(ctx context.Context, stream string, step int, field 
 	q := url.Values{}
 	if opt.Rate > 0 {
 		q.Set("rate", strconv.FormatFloat(opt.Rate, 'g', -1, 64))
-	}
-	if opt.PreviewOctaves > 0 {
-		q.Set("preview", strconv.Itoa(opt.PreviewOctaves))
 	}
 	if enc := q.Encode(); enc != "" {
 		path += "?" + enc

@@ -58,18 +58,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Predictor selects the prediction scheme of prediction-based codecs.
-type Predictor uint8
-
-const (
-	// Lorenzo3D is the first-order 3-D Lorenzo predictor used by SZ.
-	Lorenzo3D Predictor = iota
-	// MeanNeighbor predicts the average of the three causal neighbours.
-	MeanNeighbor
-)
-
-func (p Predictor) String() string { return sz.Predictor(p).String() }
-
 // Options are the codec-agnostic knobs of one compression call. Each codec
 // consumes the subset it understands and ignores the rest, so the engine
 // can hand the same options to any registered backend.
@@ -83,10 +71,6 @@ type Options struct {
 	// Rate is the fixed bit budget per value (fixed-rate codecs). When
 	// > 0 it overrides ErrorBound-driven rate selection for ZFP.
 	Rate float64
-	// Predictor selects the prediction scheme (prediction-based codecs).
-	Predictor Predictor
-	// Radius overrides the quantization radius when > 0 (SZ).
-	Radius int
 	// Telemetry, when non-nil, is filled by the codec with introspection
 	// from the compression it performs (quantization histogram, rate-search
 	// probe counts). It adds one cheap pass at most; leave nil on paths

@@ -125,7 +125,7 @@ func fuzzSeedLattice(tb testing.TB) [][]byte {
 	nan := float32(math.NaN())
 	inf := float32(math.Inf(1))
 	legacy := compress()
-	legacy[frameFixedBytes+len(SZ)+6] = byte(MeanNeighbor) // sz header: predictor byte
+	legacy[frameFixedBytes+len(SZ)+6] = 1 // sz header: predictor byte, mean neighbour
 	return [][]byte{compress(nan, nan), compress(inf, -inf, inf), legacy}
 }
 

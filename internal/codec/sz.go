@@ -14,10 +14,9 @@ const SZHeaderBits = 8 * sz.HeaderBytes
 // ScanResiduals runs the sz predictor's open-loop residual scan over a
 // brick, filling out with the value moments and the prediction-error
 // distribution the ratio-quality model consumes. Exposed here so the
-// engine stays codec-agnostic (the Predictor enums are value-compatible
-// by construction).
-func ScanResiduals(data []float32, nx, ny, nz int, p Predictor, out *stats.PredScan) error {
-	return sz.ScanResiduals(data, nx, ny, nz, sz.Predictor(p), out)
+// engine stays codec-agnostic.
+func ScanResiduals(data []float32, nx, ny, nz int, out *stats.PredScan) error {
+	return sz.ScanResiduals(data, nx, ny, nz, sz.Lorenzo3D, out)
 }
 
 // szCodec adapts internal/sz (prediction-based, error-bounded) to the
@@ -41,11 +40,7 @@ func (szCodec) Compress(data []float32, nx, ny, nz int, opt Options, s *Scratch)
 		return nil, err
 	}
 	if opt.Telemetry != nil {
-		radius := opt.Radius
-		if radius <= 0 {
-			radius = sz.DefaultRadius
-		}
-		fillQuantHist(opt.Telemetry, zs.Symbols(len(data)), radius)
+		fillQuantHist(opt.Telemetry, zs.Symbols(len(data)), sz.DefaultRadius)
 	}
 	return szFrame{c}, nil
 }
@@ -86,15 +81,10 @@ func (szCodec) Parse(body []byte) (Frame, error) {
 	return szFrame{c}, nil
 }
 
-// szOptions maps the codec-agnostic knobs onto SZ's option set. The enums
-// are value-compatible by construction (see the Mode/Predictor constants).
+// szOptions maps the codec-agnostic knobs onto SZ's option set. The Mode
+// enums are value-compatible by construction.
 func szOptions(opt Options) sz.Options {
-	return sz.Options{
-		Mode:       sz.Mode(opt.Mode),
-		ErrorBound: opt.ErrorBound,
-		Radius:     opt.Radius,
-		Predictor:  sz.Predictor(opt.Predictor),
-	}
+	return sz.Options{Mode: sz.Mode(opt.Mode), ErrorBound: opt.ErrorBound}
 }
 
 // szScratch lazily materializes the SZ working buffers inside the shared

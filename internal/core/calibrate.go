@@ -417,7 +417,7 @@ func (e *Engine) probeValidated(ctx context.Context, f *grid.Field3D, p *grid.Pa
 // single streaming pass (the "one feature scan").
 func (e *Engine) scanModel(data []float32, nx, ny, nz int, ps *stats.PredScan) (*model.RQModel, error) {
 	ps.Reset()
-	if err := codec.ScanResiduals(data, nx, ny, nz, e.cfg.Predictor, ps); err != nil {
+	if err := codec.ScanResiduals(data, nx, ny, nz, ps); err != nil {
 		return nil, err
 	}
 	rq := &model.RQModel{

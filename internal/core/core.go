@@ -51,8 +51,6 @@ type Config struct {
 	// Mode is the error-bound semantics (default ABS, as required by the
 	// paper's error control).
 	Mode codec.Mode
-	// Predictor forwards to prediction-based codecs (default Lorenzo3D).
-	Predictor codec.Predictor
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
 	// ClampFactor is the optimizer's error-bound box (default 4).
@@ -82,7 +80,7 @@ func (c Config) Validate() error {
 	if c.PartitionDim <= 0 {
 		return fmt.Errorf("core: %w: partition dim %d must be positive", apierr.ErrBadConfig, c.PartitionDim)
 	}
-	if c.ClampFactor < 1 {
+	if !(c.ClampFactor >= 1) { // NaN-safe
 		return fmt.Errorf("core: %w: clamp factor %v must be ≥ 1", apierr.ErrBadConfig, c.ClampFactor)
 	}
 	return nil
@@ -152,11 +150,7 @@ func (e *Engine) partitioner(f *grid.Field3D) (*grid.Partitioner, error) {
 // (plain fixed-rate compression is available on the codec interface
 // directly).
 func (e *Engine) codecOptions(eb float64) codec.Options {
-	return codec.Options{
-		Mode:       e.cfg.Mode,
-		ErrorBound: eb,
-		Predictor:  e.cfg.Predictor,
-	}
+	return codec.Options{Mode: e.cfg.Mode, ErrorBound: eb}
 }
 
 // Plan is a chosen per-partition configuration for one field.
@@ -312,8 +306,8 @@ func (e *Engine) PlanFromFeatures(features []float64, cal *Calibration, opt Plan
 	if cal == nil || cal.Model == nil {
 		return nil, fmt.Errorf("core: %w: nil calibration", apierr.ErrBadConfig)
 	}
-	if opt.AvgEB <= 0 {
-		return nil, fmt.Errorf("core: %w: PlanOptions.AvgEB %g must be positive", apierr.ErrBadConfig, opt.AvgEB)
+	if !(opt.AvgEB > 0) || math.IsInf(opt.AvgEB, 1) {
+		return nil, fmt.Errorf("core: %w: PlanOptions.AvgEB %g must be positive and finite", apierr.ErrBadConfig, opt.AvgEB)
 	}
 	cfg := optimizer.Config{
 		AvgEB:       opt.AvgEB,
@@ -378,8 +372,8 @@ func (e *Engine) CompressOwned(ctx context.Context, f *grid.Field3D, plan *Plan,
 // CompressStatic compresses every partition with the same bound — the
 // paper's "traditional" baseline.
 func (e *Engine) CompressStatic(ctx context.Context, f *grid.Field3D, eb float64) (*CompressedField, error) {
-	if eb <= 0 {
-		return nil, fmt.Errorf("core: %w: static error bound %g must be positive", apierr.ErrBadConfig, eb)
+	if !(eb > 0) || math.IsInf(eb, 1) {
+		return nil, fmt.Errorf("core: %w: static error bound %g must be positive and finite", apierr.ErrBadConfig, eb)
 	}
 	p, err := e.partitioner(f)
 	if err != nil {

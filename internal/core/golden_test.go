@@ -26,11 +26,11 @@ import (
 //	go test ./internal/core -run TestGolden -update-golden
 //
 // and commit the new fixtures together with the format change that
-// motivated them. Frozen fixtures (golden_sz.* and golden_stream.*) hold
-// reconstructed-value (flag-0) SZ frames, which no current encoder writes:
-// they are the decode contract for archives written before the integer
-// lattice became the only Lorenzo encoder, and -update-golden leaves them
-// alone.
+// motivated them. Frozen fixtures (golden_sz.*, golden_sz_meanneighbor.*
+// and golden_stream.*) hold reconstructed-value (flag-0) SZ frames, which
+// no current encoder writes: they are the decode contract for archives
+// written before the integer lattice became the only SZ encoder, and
+// -update-golden leaves them alone.
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden archive fixtures")
 
 // goldenField is a small fully deterministic field (no RNG, no FFT): a
@@ -103,6 +103,9 @@ func TestGoldenArchiveV2(t *testing.T) {
 		live bool
 	}{
 		{"sz", codec.SZ, false}, // frozen: reconstructed-value Lorenzo frames
+		// frozen: reconstructed-value MeanNeighbor frames (predictor byte
+		// 1, flag 0), written by the encoder before its deletion
+		{"sz_meanneighbor", codec.SZ, false},
 		{"zfp", codec.ZFP, true},
 		{"sz_lattice", codec.SZ, true},
 	} {

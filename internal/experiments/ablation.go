@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/nyx"
@@ -46,25 +45,6 @@ func ablate(ctx *Context, engCfg core.Config) (adaptive, static float64, err err
 	}
 	a, s, _, err := adaptiveVsStatic(eng, f, cal, avgEB)
 	return a, s, err
-}
-
-// AblationPredictor compares the Lorenzo predictor against the
-// mean-of-neighbours predictor.
-func AblationPredictor(ctx *Context) (*Result, error) {
-	res := &Result{
-		ID:    "ablation-predictor",
-		Title: "Ablation: predictor choice (baryon density)",
-		Cols:  []string{"predictor", "adaptive", "static", "improvement"},
-	}
-	for _, p := range []codec.Predictor{codec.Lorenzo3D, codec.MeanNeighbor} {
-		a, s, err := ablate(ctx, core.Config{Predictor: p})
-		if err != nil {
-			return nil, err
-		}
-		res.AddRow(p.String(), fnum(a), fnum(s), fmt.Sprintf("%+.1f%%", (a/s-1)*100))
-	}
-	res.Notef("Lorenzo should dominate on smooth structure; the adaptive gain persists under either predictor")
-	return res, nil
 }
 
 // AblationClamp sweeps the error-bound clamp factor around the paper's ×4.

@@ -31,7 +31,6 @@ var All = []Experiment{
 	{"fig18", "Improvement vs partition size", Fig18PartitionSize},
 	{"fig19", "Improvement vs simulation scale", Fig19SimulationScale},
 	{"sec43", "In situ overhead", Sec43Overhead},
-	{"ablation-predictor", "Ablation: predictor", AblationPredictor},
 	{"ablation-clamp", "Ablation: clamp factor", AblationClamp},
 	{"ablation-strategy", "Ablation: allocation strategy", AblationStrategy},
 	{"ablation-cm", "Ablation: C_m predictor source", AblationCmSource},

@@ -72,10 +72,10 @@ func (c Config) withDefaults() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.AvgEB <= 0 {
-		return errors.New("optimizer: AvgEB must be positive")
+	if !(c.AvgEB > 0) || math.IsInf(c.AvgEB, 1) {
+		return errors.New("optimizer: AvgEB must be positive and finite")
 	}
-	if c.ClampFactor < 1 {
+	if !(c.ClampFactor >= 1) { // NaN-safe
 		return fmt.Errorf("optimizer: clamp factor %v must be ≥ 1", c.ClampFactor)
 	}
 	return nil

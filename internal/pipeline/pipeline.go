@@ -155,15 +155,15 @@ const (
 
 // Validate checks the options. Rejections wrap apierr.ErrBadConfig.
 func (o Options) Validate() error {
-	if o.DriftThreshold < 0 {
+	if !(o.DriftThreshold >= 0) { // NaN-safe
 		return fmt.Errorf("pipeline: %w: drift threshold must be ≥ 0", apierr.ErrBadConfig)
 	}
-	if o.RelAvgEB <= 0 {
-		return fmt.Errorf("pipeline: %w: RelAvgEB must be positive", apierr.ErrBadConfig)
+	if !(o.RelAvgEB > 0) || math.IsInf(o.RelAvgEB, 1) {
+		return fmt.Errorf("pipeline: %w: RelAvgEB must be positive and finite", apierr.ErrBadConfig)
 	}
 	for name, eb := range o.AvgEBs {
-		if eb <= 0 {
-			return fmt.Errorf("pipeline: %w: non-positive budget %g for field %q", apierr.ErrBadConfig, eb, name)
+		if !(eb > 0) || math.IsInf(eb, 1) {
+			return fmt.Errorf("pipeline: %w: budget %g for field %q must be positive and finite", apierr.ErrBadConfig, eb, name)
 		}
 	}
 	return nil
@@ -761,8 +761,8 @@ func (d *Driver) compressField(ctx context.Context, name string, f *grid.Field3D
 		}
 	}
 	fs.AvgEB = state.avgEB * budgetScale
-	if fs.AvgEB <= 0 {
-		return nil, nil, nil, fmt.Errorf("pipeline: field %s resolved a non-positive budget (mean |value| %g)", name, mean)
+	if !(fs.AvgEB > 0) || math.IsInf(fs.AvgEB, 1) {
+		return nil, nil, nil, fmt.Errorf("pipeline: field %s resolved budget %g, not positive and finite (mean |value| %g)", name, fs.AvgEB, mean)
 	}
 
 	t2 := time.Now()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/apierr"
 	"repro/internal/core"
@@ -107,8 +108,8 @@ func (cfg RankConfig) budget(name string, _ float64) (float64, error) {
 	if !ok {
 		eb = cfg.AvgEB
 	}
-	if eb <= 0 {
-		return 0, fmt.Errorf("pipeline: %w: RunRank needs a positive absolute budget for field %q (AvgEB or AvgEBs), got %g", apierr.ErrBadConfig, name, eb)
+	if !(eb > 0) || math.IsInf(eb, 1) {
+		return 0, fmt.Errorf("pipeline: %w: RunRank needs a positive finite absolute budget for field %q (AvgEB or AvgEBs), got %g", apierr.ErrBadConfig, name, eb)
 	}
 	return eb, nil
 }

@@ -18,9 +18,13 @@ type Compressed struct {
 
 	// lattice is the stored flag bit0: set when the integer-lattice Lorenzo
 	// encoder (quantizeThenPredict) produced the code stream, clear for the
-	// reconstructed-value predictor. Every new Lorenzo3D frame sets it; the
-	// decoder dispatches on it, so flag-0 frames keep decoding.
+	// reconstructed-value encoders of older archives. Every new frame sets
+	// it; the decoder dispatches on it, so flag-0 frames keep decoding.
 	lattice bool
+	// predictor is the stored predictor byte: Lorenzo3D on every new frame,
+	// meanNeighbor on some flag-0 frames of older archives. Only
+	// reconstructDirect reads it.
+	predictor Predictor
 	// codeStream is the Huffman-coded, RLE-expanded quantization stream.
 	codeStream []byte
 	// outliers are the verbatim (possibly log-transformed) fp32 values of
@@ -57,7 +61,6 @@ func (c *Compressed) Ratio() float64 {
 // not be used concurrently; the zero value is ready to use.
 type Scratch struct {
 	symbols  []int
-	recon    []float32
 	logged   []float32
 	lattice  []int64
 	tokens   []int
@@ -70,13 +73,6 @@ func (s *Scratch) symbolBuf(n int) []int {
 		s.symbols = make([]int, n)
 	}
 	return s.symbols[:n]
-}
-
-func (s *Scratch) reconBuf(n int) []float32 {
-	if cap(s.recon) < n {
-		s.recon = make([]float32, n)
-	}
-	return s.recon[:n]
 }
 
 func (s *Scratch) loggedBuf(n int) []float32 {
@@ -125,6 +121,11 @@ func CompressSliceWith(data []float32, nx, ny, nz int, opt Options, s *Scratch) 
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
+	// Validate also vets parsed frames, which keep the verdict they always
+	// had; a new frame's bound must be finite (NaN passes Validate).
+	if math.IsNaN(opt.ErrorBound) || math.IsInf(opt.ErrorBound, 0) {
+		return nil, errors.New("sz: error bound must be finite")
+	}
 	if len(data) != nx*ny*nz || len(data) == 0 {
 		return nil, fmt.Errorf("sz: data length %d != %d×%d×%d", len(data), nx, ny, nz)
 	}
@@ -144,14 +145,7 @@ func CompressSliceWith(data []float32, nx, ny, nz int, opt Options, s *Scratch) 
 		}
 	}
 
-	var symbols []int
-	eb := effectiveABSBound(opt)
-	lattice := opt.Predictor == Lorenzo3D
-	if lattice {
-		symbols = quantizeThenPredict(work, nx, ny, nz, eb, opt.radius(), s)
-	} else {
-		symbols = predictThenQuantize(work, nx, ny, nz, eb, opt, s)
-	}
+	symbols := quantizeThenPredict(work, nx, ny, nz, effectiveABSBound(opt), opt.radius(), s)
 	// The outlier accumulator is scratch-owned; the Compressed brick
 	// outlives the call, so it keeps an exact-size copy.
 	var outliers []byte
@@ -176,7 +170,7 @@ func CompressSliceWith(data []float32, nx, ny, nz int, opt Options, s *Scratch) 
 	return &Compressed{
 		Nx: nx, Ny: ny, Nz: nz,
 		Opt:        opt,
-		lattice:    lattice,
+		lattice:    true,
 		codeStream: stream,
 		outliers:   outliers,
 		logShift:   logShift,
@@ -210,49 +204,6 @@ func logTransform(data []float32, s *Scratch) ([]float32, float64, error) {
 	return out, 0, nil
 }
 
-// predictThenQuantize is the reconstructed-value formulation, kept for the
-// MeanNeighbor predictor: predict from already reconstructed neighbours,
-// quantize the residual in units of 2·eb, verify the bound, and fall back
-// to a verbatim outlier when quantization cannot honour it. Each cell waits
-// on its neighbour's reconstruction, so this loop is latency-bound; Lorenzo
-// frames take quantizeThenPredict instead. Symbol layout: 0 = outlier;
-// [1, 2·radius) = code + radius. Outliers accumulate in s.outliers.
-func predictThenQuantize(data []float32, nx, ny, nz int, eb float64, opt Options, s *Scratch) []int {
-	radius := opt.radius()
-	recon := s.reconBuf(len(data))
-	symbols := s.symbolBuf(len(data))
-	outliers := s.outlierBuf()
-	twoEB := 2 * eb
-	idx := 0
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x, idx = x+1, idx+1 {
-				pred := predict(recon, nx, ny, x, y, z, idx, opt.Predictor)
-				v := float64(data[idx])
-				q := int(math.Floor((v-pred)/twoEB + 0.5))
-				if q > -radius && q < radius {
-					// The explicit conversion rounds the product, so no
-					// architecture fuses it into an FMA the decoder may
-					// not match.
-					dec := float32(pred + float64(twoEB*float64(q)))
-					// Float rounding can push the reconstruction just past
-					// the bound; verify like SZ does.
-					if math.Abs(float64(dec)-v) <= eb {
-						symbols[idx] = q + radius
-						recon[idx] = dec
-						continue
-					}
-				}
-				symbols[idx] = 0
-				outliers = appendFloat32(outliers, data[idx])
-				recon[idx] = data[idx]
-			}
-		}
-	}
-	s.outliers = outliers
-	return symbols
-}
-
 // latticeCoord returns v's coordinate on the 2·eb lattice, ⌊v/2eb + ½⌋.
 // Go leaves the float-to-integer conversion of NaN and of values outside
 // the int64 range to the CPU (amd64 yields math.MinInt64, arm64 saturates
@@ -268,15 +219,16 @@ func latticeCoord(v float32, twoEB float64) int64 {
 	return int64(math.Floor(f))
 }
 
-// quantizeThenPredict is the Lorenzo3D encoder, the GPU-SZ/cuSZ
-// formulation: each value is snapped to the 2·eb lattice first, then the
-// Lorenzo stencil runs on the lattice integers. Unlike predictThenQuantize
-// no cell waits on its neighbour's float reconstruction, so no dependency
-// chain runs through the loop. Outliers store the verbatim fp32 value
-// (accumulated in s.outliers); the decoder re-derives the lattice
-// coordinate from it, so encoder and decoder lattices agree bit-exactly. A
-// cell also becomes an outlier when fp32 rounding of its lattice value
-// would breach the bound, keeping the error-bound guarantee strict.
+// quantizeThenPredict is the encoder, the GPU-SZ/cuSZ formulation: each
+// value is snapped to the 2·eb lattice first, then the Lorenzo stencil
+// runs on the lattice integers. No cell waits on its neighbour's float
+// reconstruction, so no dependency chain runs through the loop. Symbol
+// layout: 0 = outlier; [1, 2·radius) = code + radius. Outliers store the
+// verbatim fp32 value (accumulated in s.outliers); the decoder re-derives
+// the lattice coordinate from it, so encoder and decoder lattices agree
+// bit-exactly. A cell also becomes an outlier when fp32 rounding of its
+// lattice value would breach the bound, keeping the error-bound guarantee
+// strict.
 //
 // The lattice is stored with a zero halo, (nx+1)·(ny+1)·(nz+1) entries
 // with cell (x, y, z) at (x+1, y+1, z+1): a missing causal neighbour reads
@@ -344,7 +296,7 @@ func predict(recon []float32, nx, ny int, x, y, z, idx int, p Predictor) float64
 	if hasZ {
 		fz = float64(recon[idx-nx*ny])
 	}
-	if p == MeanNeighbor {
+	if p == meanNeighbor {
 		var sum float64
 		var cnt int
 		if hasX {

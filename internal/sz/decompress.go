@@ -50,10 +50,10 @@ func DecompressSlice(c *Compressed) ([]float32, error) {
 
 // reconstruct dispatches on the stored flag, not on the predictor: flag-1
 // frames are lattice Lorenzo whatever their predictor byte says (that is
-// how MeanNeighbor frames with the flag set were always coded), and flag-0
-// frames (new MeanNeighbor frames, and the reconstructed-value Lorenzo
-// frames of older archives) decode through reconstructDirect forever.
-// PW_REL frames are mapped back out of log space.
+// how MeanNeighbor frames with the flag set were once coded), and flag-0
+// frames (the reconstructed-value Lorenzo and MeanNeighbor frames of older
+// archives) decode through reconstructDirect forever. PW_REL frames are
+// mapped back out of log space.
 func reconstruct(symbols []int, c *Compressed, s *Scratch) ([]float32, error) {
 	eb := effectiveABSBound(c.Opt)
 	var out []float32
@@ -74,8 +74,9 @@ func reconstruct(symbols []int, c *Compressed, s *Scratch) ([]float32, error) {
 	return out, nil
 }
 
-// reconstructDirect mirrors predictThenQuantize: each cell is predicted
-// from its already reconstructed neighbours.
+// reconstructDirect decodes the flag-0 frames of the reconstructed-value
+// encoders older archives hold: each cell is predicted from its already
+// reconstructed neighbours.
 func reconstructDirect(symbols []int, c *Compressed, eb float64) ([]float32, error) {
 	nx, ny, nz := c.Nx, c.Ny, c.Nz
 	radius := c.Opt.radius()
@@ -96,8 +97,9 @@ func reconstructDirect(symbols []int, c *Compressed, eb float64) ([]float32, err
 					outPos = pos
 					continue
 				}
-				pred := predict(recon, nx, ny, x, y, z, idx, c.Opt.Predictor)
-				// Unfused like the encoder (see predictThenQuantize).
+				pred := predict(recon, nx, ny, x, y, z, idx, c.predictor)
+				// The explicit conversion rounds the product, as those
+				// encoders did, so no architecture fuses it into an FMA.
 				recon[idx] = float32(pred + float64(twoEB*float64(s-radius)))
 			}
 		}

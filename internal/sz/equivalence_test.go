@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/nyx"
@@ -77,5 +78,48 @@ func TestLatticeMatchesReconstructedValueOnDensity(t *testing.T) {
 	if math.Abs(rel) > 0.001 {
 		t.Errorf("lattice bytes %d vs reconstructed-value %d: %+.3f %%, want within ±0.1 %%",
 			lattice, direct, 100*rel)
+	}
+}
+
+// TestReferenceFramesThroughCodec drives the flag-0 frames older archives
+// hold, Lorenzo and mean-neighbour, through the codec layer the engine
+// reads them with: parse, envelope round trip, decompress within the bound.
+func TestReferenceFramesThroughCodec(t *testing.T) {
+	c, err := codec.Lookup(codec.SZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := nyx.Generate(nyx.Params{N: 16, Seed: 12, Redshift: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	temp, err := snap.Field(nyx.FieldTemperature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eb := range []float64{1, 100} {
+		opt := sz.Options{Mode: sz.ABS, ErrorBound: eb}
+		for name, ref := range map[string]*sz.Compressed{
+			"lorenzo":       sz.CompressReconstructedValue(temp.Data, temp.Nx, temp.Ny, temp.Nz, opt),
+			"mean-neighbor": sz.CompressMeanNeighbor(temp.Data, temp.Nx, temp.Ny, temp.Nz, opt),
+		} {
+			fr, err := c.Parse(ref.Bytes())
+			if err != nil {
+				t.Fatalf("%s eb %g: %v", name, eb, err)
+			}
+			parsed, err := codec.DecodeFrame(codec.EncodeFrame(fr))
+			if err != nil {
+				t.Fatalf("%s eb %g: %v", name, eb, err)
+			}
+			got, err := parsed.Decompress()
+			if err != nil {
+				t.Fatalf("%s eb %g: %v", name, eb, err)
+			}
+			for i, v := range temp.Data {
+				if d := math.Abs(float64(got[i]) - float64(v)); d > eb {
+					t.Fatalf("%s eb %g: cell %d error %g", name, eb, i, d)
+				}
+			}
+		}
 	}
 }

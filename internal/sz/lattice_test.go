@@ -98,30 +98,23 @@ func TestLatticeEncoderMatchesReference(t *testing.T) {
 }
 
 // TestReconstructedValueReference checks the other half of the decode
-// contract: frames the reference reconstructed-value encoder writes carry
-// flag 0 and decode through reconstructDirect to the encoder's own
-// reconstruction, bit for bit. The generic per-cell loop predictThenQuantize
-// keeps (for MeanNeighbor) must also equal the reference's split Lorenzo
-// interior, which is what makes reconstructDirect's single loop a faithful
-// decoder of those frames.
+// contract: frames the reference reconstructed-value encoder writes, with
+// either predictor, carry flag 0 and decode through reconstructDirect's
+// single per-cell loop to the encoder's own reconstruction (whose Lorenzo
+// interior is split), bit for bit.
 func TestReconstructedValueReference(t *testing.T) {
 	r := stats.NewRNG(38)
-	var s Scratch
 	for trial := 0; trial < 200; trial++ {
 		data, nx, ny, nz, opt := randomBrick(r)
+		p := Lorenzo3D
 		if trial%4 == 3 {
-			opt.Predictor = MeanNeighbor
+			p = meanNeighbor
 		}
-		wantSyms, wantOut, wantRecon := refPredictThenQuantize(data, nx, ny, nz, opt.ErrorBound, opt)
+		_, _, wantRecon := refPredictThenQuantize(data, nx, ny, nz, opt.ErrorBound, opt, p)
 
-		syms := predictThenQuantize(data, nx, ny, nz, opt.ErrorBound, opt, &s)
-		if !slices.Equal(syms, wantSyms) || !bytes.Equal(s.outliers, wantOut) {
-			t.Fatalf("trial %d (%v): the per-cell loop differs from the reference", trial, opt.Predictor)
-		}
-
-		blob := refFrame(wantSyms, wantOut, nx, ny, nz, opt, false).Bytes()
-		if blob[7] != 0 {
-			t.Fatalf("trial %d: reconstructed-value frame has flags %#x", trial, blob[7])
+		blob := compressReconstructedValue(data, nx, ny, nz, opt, p).Bytes()
+		if blob[6] != byte(p) || blob[7] != 0 {
+			t.Fatalf("trial %d: reconstructed-value frame has predictor %d, flags %#x", trial, blob[6], blob[7])
 		}
 		c, err := Parse(blob)
 		if err != nil {
@@ -137,29 +130,24 @@ func TestReconstructedValueReference(t *testing.T) {
 	}
 }
 
-// TestFrameFlags: every new Lorenzo3D frame is a lattice frame (bit0 set),
-// every new MeanNeighbor frame a reconstructed-value one (bit0 clear).
+// TestFrameFlags: every new frame is a Lorenzo lattice frame (predictor
+// byte 0, flag bit0 set) in either mode.
 func TestFrameFlags(t *testing.T) {
 	f := smoothField(12, 40)
-	for _, tc := range []struct {
-		p    Predictor
-		flag byte
-	}{{Lorenzo3D, 1}, {MeanNeighbor, 0}} {
-		for _, mode := range []Mode{ABS, PWREL} {
-			data := f.Data
-			if mode == PWREL {
-				data = make([]float32, len(f.Data))
-				for i, v := range f.Data {
-					data[i] = float32(math.Exp(float64(v) / 50))
-				}
+	for _, mode := range []Mode{ABS, PWREL} {
+		data := f.Data
+		if mode == PWREL {
+			data = make([]float32, len(f.Data))
+			for i, v := range f.Data {
+				data[i] = float32(math.Exp(float64(v) / 50))
 			}
-			c, err := CompressSlice(data, f.Nx, f.Ny, f.Nz, Options{Mode: mode, ErrorBound: 0.05, Predictor: tc.p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := c.Bytes()[7]; got != tc.flag {
-				t.Errorf("%v %v: flags %#x, want %#x", tc.p, mode, got, tc.flag)
-			}
+		}
+		c, err := CompressSlice(data, f.Nx, f.Ny, f.Nz, Options{Mode: mode, ErrorBound: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hdr := c.Bytes(); hdr[6] != byte(Lorenzo3D) || hdr[7] != 1 {
+			t.Errorf("%v: predictor %d, flags %#x, want 0 and 0x1", mode, hdr[6], hdr[7])
 		}
 	}
 }
@@ -179,13 +167,13 @@ func TestLegacyLatticeMeanNeighborFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := c.Bytes()
-	blob[6] = byte(MeanNeighbor)
+	blob[6] = byte(meanNeighbor)
 	legacy, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Opt.Predictor != MeanNeighbor || !legacy.lattice {
-		t.Fatalf("parsed predictor %v, lattice %v", legacy.Opt.Predictor, legacy.lattice)
+	if legacy.predictor != meanNeighbor || !legacy.lattice {
+		t.Fatalf("parsed predictor %v, lattice %v", legacy.predictor, legacy.lattice)
 	}
 	got, err := DecompressSlice(legacy)
 	if err != nil {

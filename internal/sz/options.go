@@ -10,10 +10,11 @@
 //     difference; a cell whose difference falls outside the quantization
 //     radius, or whose fp32 lattice value would breach the bound, is stored
 //     verbatim. Prediction reads integers, so no cell waits on its
-//     neighbour's float reconstruction. CPU-SZ's formulation, predicting
-//     from already reconstructed neighbours, remains for the MeanNeighbor
-//     predictor and for decoding the flag-0 Lorenzo frames of older
-//     archives; Sec. 3.2 of the paper shows the two behave identically.
+//     neighbour's float reconstruction. This is the only encoder. CPU-SZ's
+//     formulation, predicting from already reconstructed neighbours (with
+//     the Lorenzo or the mean-neighbour predictor), survives only in the
+//     decoder, for the flag-0 frames of older archives; Sec. 3.2 of the
+//     paper shows the two formulations behave identically.
 //  3. Entropy coding: run-length tokens for runs of the "perfect
 //     prediction" code followed by canonical Huffman coding. The RLE stage
 //     is what lets bit rates drop below 1 bit/value at high error bounds,
@@ -52,28 +53,18 @@ func (m Mode) String() string {
 	}
 }
 
-// Predictor selects the prediction scheme (ablation knob; the paper's
-// models assume Lorenzo).
+// Predictor is the header's predictor byte. Every new frame writes
+// Lorenzo3D; meanNeighbor is only read, from flag-0 frames of older
+// archives.
 type Predictor uint8
 
 const (
 	// Lorenzo3D is the first-order 3-D Lorenzo predictor used by SZ.
 	Lorenzo3D Predictor = iota
-	// MeanNeighbor predicts the average of the three causal axis
-	// neighbours; kept for the predictor ablation bench.
-	MeanNeighbor
+	// meanNeighbor predicts the average of the three causal axis
+	// neighbours.
+	meanNeighbor
 )
-
-func (p Predictor) String() string {
-	switch p {
-	case Lorenzo3D:
-		return "lorenzo3d"
-	case MeanNeighbor:
-		return "mean-neighbor"
-	default:
-		return fmt.Sprintf("Predictor(%d)", uint8(p))
-	}
-}
 
 // DefaultRadius is the quantization radius: residuals quantize into
 // (−radius, +radius) bins; anything outside is stored verbatim as an
@@ -86,8 +77,6 @@ type Options struct {
 	ErrorBound float64
 	// Radius overrides DefaultRadius when > 0.
 	Radius int
-	// Predictor selects the prediction scheme (default Lorenzo3D).
-	Predictor Predictor
 }
 
 func (o Options) radius() int {
@@ -107,9 +96,6 @@ func (o Options) Validate() error {
 	}
 	if o.Mode == PWREL && o.ErrorBound >= 1 {
 		return errors.New("sz: PW_REL error bound must be < 1")
-	}
-	if o.Predictor != Lorenzo3D && o.Predictor != MeanNeighbor {
-		return fmt.Errorf("sz: unknown predictor %v", o.Predictor)
 	}
 	if o.Radius < 0 || o.Radius == 1 {
 		return fmt.Errorf("sz: invalid radius %d", o.Radius)

@@ -10,7 +10,8 @@ import (
 // package ran them while two Lorenzo encoders coexisted — boundary planes
 // through per-cell predictors, a split interior. The production loops are
 // held to them cell for cell, and refPredictThenQuantize still writes the
-// reconstructed-value (flag-0) Lorenzo frames that older archives hold.
+// reconstructed-value (flag-0) Lorenzo and mean-neighbour frames that
+// older archives hold.
 // The one change is the float-to-lattice conversion, which goes through
 // latticeCoord so that the references do not depend on the CPU either.
 
@@ -149,9 +150,10 @@ func refReconstructLattice(symbols []int, outliers []byte, nx, ny, nz int, eb fl
 
 // refPredictThenQuantize is the reconstructed-value encoder with its
 // branch-free Lorenzo interior: boundary cells go through the generic
-// predictor, interior cells read seven flat offsets. It returns the
-// encoder's own reconstruction alongside the stream.
-func refPredictThenQuantize(data []float32, nx, ny, nz int, eb float64, opt Options) ([]int, []byte, []float32) {
+// predictor, interior cells read seven flat offsets (mean-neighbour frames
+// take the generic predictor everywhere). It returns the encoder's own
+// reconstruction alongside the stream.
+func refPredictThenQuantize(data []float32, nx, ny, nz int, eb float64, opt Options, p Predictor) ([]int, []byte, []float32) {
 	n := len(data)
 	radius := opt.radius()
 	recon := make([]float32, n)
@@ -160,7 +162,7 @@ func refPredictThenQuantize(data []float32, nx, ny, nz int, eb float64, opt Opti
 	twoEB := 2 * eb
 
 	cell := func(x, y, z, idx int) {
-		pred := predict(recon, nx, ny, x, y, z, idx, opt.Predictor)
+		pred := predict(recon, nx, ny, x, y, z, idx, p)
 		v := float64(data[idx])
 		diff := v - pred
 		q := int(math.Floor(diff/twoEB + 0.5))
@@ -177,7 +179,7 @@ func refPredictThenQuantize(data []float32, nx, ny, nz int, eb float64, opt Opti
 		recon[idx] = data[idx]
 	}
 
-	if opt.Predictor != Lorenzo3D {
+	if p != Lorenzo3D {
 		idx := 0
 		for z := 0; z < nz; z++ {
 			for y := 0; y < ny; y++ {
@@ -262,9 +264,11 @@ func refFrame(symbols []int, outliers []byte, nx, ny, nz int, opt Options, latti
 	}
 }
 
-// compressReconstructedValue writes a flag-0 Lorenzo (or MeanNeighbor)
-// frame through the reference reconstructed-value encoder.
-func compressReconstructedValue(data []float32, nx, ny, nz int, opt Options) *Compressed {
-	symbols, outliers, _ := refPredictThenQuantize(data, nx, ny, nz, opt.ErrorBound, opt)
-	return refFrame(symbols, outliers, nx, ny, nz, opt, false)
+// compressReconstructedValue writes a flag-0 frame with predictor p
+// through the reference reconstructed-value encoder.
+func compressReconstructedValue(data []float32, nx, ny, nz int, opt Options, p Predictor) *Compressed {
+	symbols, outliers, _ := refPredictThenQuantize(data, nx, ny, nz, opt.ErrorBound, opt, p)
+	c := refFrame(symbols, outliers, nx, ny, nz, opt, false)
+	c.predictor = p
+	return c
 }

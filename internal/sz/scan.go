@@ -6,10 +6,10 @@ import (
 	"repro/internal/stats"
 )
 
-// ScanResiduals runs one open-loop pass of the predictor over a brick,
-// folding every value into out.Values and every prediction residual into
-// out.Errs. "Open loop" means predictions read the original values rather
-// than quantized reconstructions; the difference is bounded by the
+// ScanResiduals runs one open-loop pass of the Lorenzo predictor over a
+// brick, folding every value into out.Values and every prediction residual
+// into out.Errs. "Open loop" means predictions read the original values
+// rather than quantized reconstructions; the difference is bounded by the
 // accumulated quantization error, which the ratio-quality literature (and
 // Sec. 3.2 of the paper) shows leaves the residual distribution essentially
 // unchanged for any bound the configurator would actually plan. One scan
@@ -17,30 +17,21 @@ import (
 // this is the single feature scan that replaces the calibration probe
 // ladder.
 //
-// The caller owns out and resets it between partitions; the scan itself
-// allocates only out.Errs' bin storage on first use.
+// p must be Lorenzo3D, the predictor of every new frame. The caller owns
+// out and resets it between partitions; the scan itself allocates only
+// out.Errs' bin storage on first use.
 func ScanResiduals(data []float32, nx, ny, nz int, p Predictor, out *stats.PredScan) error {
 	if len(data) != nx*ny*nz || len(data) == 0 {
 		return fmt.Errorf("sz: data length %d != %d×%d×%d", len(data), nx, ny, nz)
 	}
+	if p != Lorenzo3D {
+		return fmt.Errorf("sz: residual scan of predictor %d; only Lorenzo3D frames are written", p)
+	}
 	cell := func(x, y, z, idx int) {
-		pred := predict(data, nx, ny, x, y, z, idx, p)
+		pred := predict(data, nx, ny, x, y, z, idx, Lorenzo3D)
 		v := float64(data[idx])
 		out.Values.Add(v)
 		out.Errs.Add(v - pred)
-	}
-
-	if p != Lorenzo3D {
-		idx := 0
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				for x := 0; x < nx; x++ {
-					cell(x, y, z, idx)
-					idx++
-				}
-			}
-		}
-		return nil
 	}
 
 	// Boundary planes through the generic predictor, a branch-free interior

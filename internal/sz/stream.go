@@ -26,10 +26,10 @@ import (
 //	48     4     CRC32 (Castagnoli) of the two payload sections
 //	52     ...   codeStream ++ outliers
 //
-// Flag bit0 is set on every new Lorenzo3D frame: its code stream came from
-// the integer-lattice encoder. It is clear on new MeanNeighbor frames and on
-// the reconstructed-value Lorenzo frames older encoders wrote; those
-// flag-0 frames keep decoding forever, because archives are.
+// Every new frame writes predictor 0 (Lorenzo) and sets flag bit0: its
+// code stream came from the integer-lattice encoder. Flag 0 marks the
+// reconstructed-value frames older encoders wrote, with predictor 0 or 1
+// (mean neighbour); they keep decoding forever, because archives are.
 const (
 	headerSize = 52
 	magic      = "SZGO"
@@ -54,7 +54,7 @@ func (c *Compressed) AppendBytes(dst []byte) []byte {
 	copy(hdr[0:4], magic)
 	hdr[4] = version
 	hdr[5] = byte(c.Opt.Mode)
-	hdr[6] = byte(c.Opt.Predictor)
+	hdr[6] = byte(c.predictor)
 	if c.lattice {
 		hdr[7] = 1
 	}
@@ -89,7 +89,6 @@ func Parse(data []byte) (*Compressed, error) {
 	}
 	opt := Options{
 		Mode:       Mode(data[5]),
-		Predictor:  Predictor(data[6]),
 		ErrorBound: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
 		Radius:     int(binary.LittleEndian.Uint32(data[16:20])),
 	}
@@ -103,6 +102,10 @@ func Parse(data []byte) (*Compressed, error) {
 
 	if err := opt.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	p := Predictor(data[6])
+	if p != Lorenzo3D && p != meanNeighbor {
+		return nil, fmt.Errorf("%w: unknown predictor %d", ErrCorrupt, p)
 	}
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return nil, fmt.Errorf("%w: invalid dims %dx%dx%d", ErrCorrupt, nx, ny, nz)
@@ -121,6 +124,7 @@ func Parse(data []byte) (*Compressed, error) {
 		Nx: nx, Ny: ny, Nz: nz,
 		Opt:        opt,
 		lattice:    data[7]&1 != 0,
+		predictor:  p,
 		codeStream: codeStream,
 		outliers:   outliers,
 		logShift:   logShift,

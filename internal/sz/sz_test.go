@@ -2,6 +2,7 @@ package sz
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -72,7 +73,7 @@ func TestABSRoundTripBounds(t *testing.T) {
 	}
 }
 
-// TestABSQuantizeBeforePredict: Lorenzo3D frames are coded by the
+// TestABSQuantizeBeforePredict: frames are coded by the
 // quantize-before-predict (integer lattice) encoder, hold the bound, and
 // say so in their flag.
 func TestABSQuantizeBeforePredict(t *testing.T) {
@@ -85,9 +86,29 @@ func TestABSQuantizeBeforePredict(t *testing.T) {
 	}
 }
 
+// TestMeanNeighborPredictor: the flag-0 mean-neighbour frames older
+// encoders wrote (here from the reference encoder) parse and decode within
+// their bound.
 func TestMeanNeighborPredictor(t *testing.T) {
 	f := smoothField(16, 3)
-	checkBound(t, f, Options{Mode: ABS, ErrorBound: 0.5, Predictor: MeanNeighbor})
+	for _, eb := range []float64{0.05, 0.5, 5} {
+		opt := Options{Mode: ABS, ErrorBound: eb}
+		blob := compressReconstructedValue(f.Data, f.Nx, f.Ny, f.Nz, opt, meanNeighbor).Bytes()
+		if blob[6] != byte(meanNeighbor) || blob[7] != 0 {
+			t.Fatalf("eb %g: predictor %d, flags %#x", eb, blob[6], blob[7])
+		}
+		c, err := Parse(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecompressSlice(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mx, _ := stats.MaxAbsError(f.Data, got); mx > eb {
+			t.Fatalf("eb %g: max error %g", eb, mx)
+		}
+	}
 }
 
 func TestPWRELRoundTrip(t *testing.T) {
@@ -120,7 +141,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Mode: ABS, ErrorBound: -1},
 		{Mode: PWREL, ErrorBound: 1.5},
 		{Mode: Mode(9), ErrorBound: 1},
-		{Mode: ABS, ErrorBound: 1, Predictor: Predictor(9)},
 		{Mode: ABS, ErrorBound: 1, Radius: 1},
 	}
 	for i, opt := range cases {
@@ -130,6 +150,27 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := (Options{Mode: ABS, ErrorBound: 0.5}).Validate(); err != nil {
 		t.Errorf("valid options rejected: %v", err)
+	}
+}
+
+// TestCompressRejectsNonFiniteBound: a NaN or ±Inf bound is refused at
+// compression (NaN passes every `<= 0` test), while Parse keeps accepting
+// the frames such bounds once produced, so no stored frame changes verdict.
+func TestCompressRejectsNonFiniteBound(t *testing.T) {
+	f := smoothField(8, 13)
+	for _, eb := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Compress(f, Options{Mode: ABS, ErrorBound: eb}); err == nil {
+			t.Errorf("bound %g accepted", eb)
+		}
+	}
+	c, err := Compress(f, Options{Mode: ABS, ErrorBound: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := c.Bytes()
+	binary.LittleEndian.PutUint64(blob[8:16], math.Float64bits(math.NaN()))
+	if _, err := Parse(blob); err != nil {
+		t.Errorf("a stored NaN-bound frame no longer parses: %v", err)
 	}
 }
 
@@ -247,6 +288,7 @@ func TestParseRejectsCorruption(t *testing.T) {
 		"payload bit flip":  func(b []byte) []byte { b[len(b)-5] ^= 0xFF; return b },
 		"truncated payload": func(b []byte) []byte { return b[:len(b)-3] },
 		"crc flip":          func(b []byte) []byte { b[49] ^= 0x01; return b },
+		"unknown predictor": func(b []byte) []byte { b[6] = 2; return b },
 	}
 	for name, corrupt := range cases {
 		bad := corrupt(bytes.Clone(blob))
