@@ -3,13 +3,15 @@ package adaptive
 import (
 	"net/http"
 
+	"repro/internal/apierr"
 	"repro/internal/server"
 )
 
 // Server is the networked compression service: the System's engine and
 // streaming driver behind an HTTP API shared by many tenants at once, with
-// per-tenant bounded queues (typed 429 backpressure), deficit-round-robin
-// fair batching, token-bucket rate metering, and a load controller that
+// per-tenant bounded queues (typed 429 backpressure), a fixed set of
+// workers that pull requests by deficit round-robin and run each as one
+// engine call, token-bucket rate metering, and a load controller that
 // steps error-bound budgets up under pressure and back down when it
 // clears. Build one with System.NewServer, expose it with NewH2CServer,
 // stop it with Close.
@@ -28,7 +30,7 @@ type ServerStats = server.Stats
 
 // NewServer builds a compression service over this System's engine and
 // streaming driver (sharing their worker pool and per-tenant-field
-// calibration state) and starts its dispatcher. The System's calibration
+// calibration state) and starts its workers. The System's calibration
 // options (WithCalibration) govern the service's /v1/calibrate endpoint.
 func (s *System) NewServer(cfg ServerConfig) (*Server, error) {
 	return server.New(s.drv, s.cal, cfg)
@@ -68,5 +70,5 @@ func UnmarshalFieldPayload(data []byte, maxCells int64) (*Field, error) {
 // a 429 body maps back to ErrOverloaded, a 422 to ErrCorruptArchive, and
 // so on. Returns nil when the body is not the service's error envelope.
 func ServiceError(status int, body []byte) error {
-	return server.ErrorFromResponse(status, body)
+	return apierr.ErrorFromResponse(status, body)
 }

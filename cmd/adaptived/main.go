@@ -1,21 +1,23 @@
 // Command adaptived serves the adaptive compressor over the network: a
 // long-running HTTP/1.1 + h2c service that compresses, decompresses, and
 // calibrates fields for many concurrent tenants, with per-tenant bounded
-// queues (typed 429 backpressure), deficit-round-robin fair batching,
-// token-bucket rate metering, and — with -adapt — a load controller that
+// queues (typed 429 backpressure), deficit-round-robin fair scheduling
+// over a fixed set of workers (one engine run per request), token-bucket
+// rate metering, and — with -adapt — a load controller that
 // steps error-bound budgets up under pressure and back down when it
 // clears.
 //
 // Usage:
 //
 //	adaptived -addr :8323 [-codec sz] [-partition 16] [-rel-eb 0.1] \
-//	          [-queue 64] [-token-rate 0] [-batch-fields 16] [-inflight 2] \
+//	          [-queue 64] [-token-rate 0] [-inflight 0] \
 //	          [-adapt] [-slo 250ms] [-max-level 4] [-eb-step 2] \
 //	          [-archive stream.acs] [-checkpoint 4] [-fsync] \
 //	          [-floor tenant-03=1 -floor tenant-04=2]
 //
-// With -archive, every compressed batch is appended to the named file as
-// one step of a crash-recoverable v3 stream: -checkpoint N snapshots the
+// -inflight sets the number of workers, i.e. how many requests execute at
+// once (0 = GOMAXPROCS). With -archive, every compressed request is
+// appended to the named file as one step of a crash-recoverable v3 stream: -checkpoint N snapshots the
 // footer every N steps (so a kill -9 loses at most N steps; streamrecover
 // salvages the rest), and -fsync bounds that loss against power failure
 // too. -floor caps a tenant's budget scale so load-driven stepping never
@@ -87,13 +89,12 @@ func main() {
 		relEB     = flag.Float64("rel-eb", 0.1, "quality budget relative to each field's mean |value|")
 		queue     = flag.Int("queue", 64, "per-tenant admission queue depth")
 		tokenRate = flag.Float64("token-rate", 0, "per-tenant rate limit in cells/sec (0 = unmetered)")
-		batchF    = flag.Int("batch-fields", 16, "max fields coalesced into one pipeline batch")
-		inflight  = flag.Int("inflight", 2, "max concurrently executing batches")
+		inflight  = flag.Int("inflight", 0, "workers, i.e. max concurrently executing requests (0 = GOMAXPROCS)")
 		adapt     = flag.Bool("adapt", false, "enable load-driven rate stepping")
 		slo       = flag.Duration("slo", 250*time.Millisecond, "p99 latency SLO for the load controller")
 		maxLevel  = flag.Int("max-level", 4, "load controller's max step level")
 		ebStep    = flag.Float64("eb-step", 2, "per-level budget multiplier")
-		archive   = flag.String("archive", "", "append compressed batches to this crash-recoverable v3 stream file")
+		archive   = flag.String("archive", "", "append each compressed request as one step to this crash-recoverable v3 stream file")
 		chkpt     = flag.Int("checkpoint", 4, "steps between archive footer checkpoints (with -archive)")
 		fsync     = flag.Bool("fsync", false, "fsync the archive after each checkpoint (with -archive)")
 		drainFor  = flag.Duration("drain-timeout", 10*time.Second, "max time to finish in-flight work on shutdown")
@@ -110,11 +111,10 @@ func main() {
 		log.Fatal(err)
 	}
 	srv, err := sys.NewServer(adaptive.ServerConfig{
-		QueueDepth:         *queue,
-		TokenRate:          *tokenRate,
-		MaxBatchFields:     *batchF,
-		MaxInflightBatches: *inflight,
-		QualityFloors:      floors,
+		QueueDepth:    *queue,
+		TokenRate:     *tokenRate,
+		MaxInflight:   *inflight,
+		QualityFloors: floors,
 		Adapt: adaptive.ServerAdaptConfig{
 			Enabled:    *adapt,
 			LatencySLO: *slo,
@@ -141,7 +141,7 @@ func main() {
 			log.Fatal(err)
 		}
 		srv.AttachArchive(archWriter)
-		log.Printf("archiving batches to %s (checkpoint every %d steps, fsync %v)", *archive, *chkpt, *fsync)
+		log.Printf("archiving compressed requests to %s (checkpoint every %d steps, fsync %v)", *archive, *chkpt, *fsync)
 	}
 
 	hs := adaptive.NewH2CServer(*addr, srv.Handler())
@@ -176,5 +176,5 @@ func main() {
 		}
 	}
 	st := srv.Stats()
-	log.Printf("served %d requests (%d rejected, %d failed) in %d batches", st.Served, st.Rejected, st.Failed, st.Batches)
+	log.Printf("served %d requests (%d rejected, %d failed) in %d engine runs", st.Served, st.Rejected, st.Failed, st.Batches)
 }

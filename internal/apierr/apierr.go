@@ -14,6 +14,10 @@
 //
 //	fmt.Errorf("core: %w: bad archive magic %q", apierr.ErrCorruptArchive, m)
 //	fmt.Errorf("core: partition %d: %w", i, err) // cause already tagged
+//
+// The taxonomy's wire form lives here too: WriteError renders an error as
+// the JSON envelope both HTTP services answer with, and ErrorFromResponse
+// turns that envelope back into the sentinel on the client side.
 package apierr
 
 import (

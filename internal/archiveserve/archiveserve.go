@@ -25,7 +25,6 @@ import (
 	"repro/internal/apierr"
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/server"
 )
 
 // Config configures an archive server.
@@ -131,7 +130,7 @@ func (s *Server) Stats() Stats {
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	names, err := s.store.List()
 	if err != nil {
-		server.WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	if names == nil {
@@ -143,12 +142,12 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	str, err := s.store.Stream(r.PathValue("stream"))
 	if err != nil {
-		server.WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	m, err := str.Manifest()
 	if err != nil {
-		server.WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	etag := fmt.Sprintf("\"%s-manifest\"", m.ETag)
@@ -175,23 +174,23 @@ type variant struct {
 func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 	str, err := s.store.Stream(r.PathValue("stream"))
 	if err != nil {
-		server.WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	step, err := strconv.Atoi(r.PathValue("step"))
 	if err != nil {
-		server.WriteError(w, fmt.Errorf("archiveserve: %w: step %q is not an integer", apierr.ErrBadConfig, r.PathValue("step")))
+		apierr.WriteError(w, fmt.Errorf("archiveserve: %w: step %q is not an integer", apierr.ErrBadConfig, r.PathValue("step")))
 		return
 	}
 	field := r.PathValue("field")
 	fl, err := str.fieldLayout(step, field)
 	if err != nil {
-		server.WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	v, err := s.resolveVariant(r, str, step, fl)
 	if err != nil {
-		server.WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 
@@ -212,7 +211,7 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 	key := str.name + "\x00" + strconv.Itoa(step) + "\x00" + field + "\x00" + v.token
 	body, hit, err := s.cache.getOrBuild(key, v.build)
 	if err != nil {
-		server.WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	s.count(v.tier, func(t *TierStats) {

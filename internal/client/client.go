@@ -212,7 +212,7 @@ func (c *Client) Decompress(ctx context.Context, archive []byte) (*grid.Field3D,
 }
 
 // Calibrate posts a field for calibration. Treated like Compress for retry
-// purposes (the server runs it through the shared batch machinery).
+// purposes (the server queues and schedules it like a compression).
 func (c *Client) Calibrate(ctx context.Context, field string, f *grid.Field3D) (*CalibrationInfo, error) {
 	res, err := c.do(ctx, "calibrate", false, http.MethodPost,
 		"/v1/calibrate/"+field, server.EncodeField(f))
@@ -294,7 +294,7 @@ func (c *Client) doWith(ctx context.Context, endpoint string, idempotent bool, m
 			lastErr = fmt.Errorf("client: %s: %w", endpoint, err)
 			retryable = idempotent
 		default:
-			lastErr = server.ErrorFromResponse(res.status, res.body)
+			lastErr = apierr.ErrorFromResponse(res.status, res.body)
 			if lastErr == nil {
 				lastErr = fmt.Errorf("client: %s: HTTP %d", endpoint, res.status)
 			}

@@ -214,7 +214,7 @@ func TestDrainingRefusalIsRetriedAndTyped(t *testing.T) {
 
 func TestCompressNeverRetriesServerErrors(t *testing.T) {
 	sc := &script{t: t, steps: []func(http.ResponseWriter, *http.Request){
-		respondError(500, "internal", "batch execution panicked", 0),
+		respondError(500, "internal", "job execution panicked", 0),
 	}}
 	c, ck := testClient(t, sc, nil)
 	_, err := c.Compress(context.Background(), "density", field(t))

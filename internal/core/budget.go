@@ -24,10 +24,6 @@ type BudgetOptions struct {
 	KMax float64
 	// Confidence is the two-sided coverage probability (paper: 95.45 %).
 	Confidence float64
-	// ShellAveraging accounts for the √count error reduction when a
-	// shell averages many modes (default true). Disabling it reproduces
-	// the paper's more conservative single-bin mapping.
-	ShellAveraging bool
 	// Workers bounds the FFT worker pool.
 	Workers int
 }
@@ -51,11 +47,13 @@ func (o BudgetOptions) withDefaults() BudgetOptions {
 // reference field's measured spectrum.
 //
 // Derivation per shell k (component bin error σ, shell amplitude
-// A² = mean|F|², count c): the shell power error has a deterministic bias
-// 2σ² (mean |E|² over both components) and a random part with standard
-// deviation ≈ 2Aσ/√c. Requiring  conf·(2Aσ/√c) + 2σ² ≤ tol·A²  and solving
-// the quadratic for σ gives the shell's admissible bin σ; the budget is the
-// most restrictive shell's value, inverted through Eq. 9.
+// A² = mean|F|²): the power error of one bin has a deterministic bias 2σ²
+// (mean |E|² over both components) and a random part with standard
+// deviation ≈ 2Aσ. Requiring  conf·(2Aσ) + 2σ² ≤ tol·A²  — the paper's
+// single-bin mapping, which takes no √count credit for a shell averaging
+// many modes — and solving the quadratic for σ gives the shell's
+// admissible bin σ; the budget is the most restrictive shell's value,
+// inverted through Eq. 9.
 func SpectrumBudget(f *grid.Field3D, opt BudgetOptions) (float64, error) {
 	opt = opt.withDefaults()
 	if f.Nx != f.Ny || f.Ny != f.Nz {
@@ -77,17 +75,9 @@ func SpectrumBudget(f *grid.Field3D, opt BudgetOptions) (float64, error) {
 		// (BinShells divides |F|² by N⁶).
 		a2 := sp.P[shell] * n3 * n3
 		a := math.Sqrt(a2)
-		cnt := float64(sp.Counts[shell])
-		var sigma float64
-		if opt.ShellAveraging {
-			// 2σ² + (2kA/√c)σ − tol·A² = 0.
-			b := 2 * k * a / math.Sqrt(cnt)
-			sigma = (-b + math.Sqrt(b*b+8*opt.Tolerance*a2)) / 4
-		} else {
-			// Single-bin mapping: conf·(2Aσ) + 2σ² ≤ tol·A².
-			b := 2 * k * a
-			sigma = (-b + math.Sqrt(b*b+8*opt.Tolerance*a2)) / 4
-		}
+		// Single-bin mapping: conf·(2Aσ) + 2σ² ≤ tol·A².
+		b := 2 * k * a
+		sigma := (-b + math.Sqrt(b*b+8*opt.Tolerance*a2)) / 4
 		if sigma < best {
 			best = sigma
 		}

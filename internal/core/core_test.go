@@ -336,24 +336,16 @@ func TestPlanErrors(t *testing.T) {
 
 func TestSpectrumBudgetMonotone(t *testing.T) {
 	f := field(t, nyx.FieldBaryonDensity)
-	tight, err := SpectrumBudget(f, BudgetOptions{Tolerance: 0.001, ShellAveraging: true})
+	tight, err := SpectrumBudget(f, BudgetOptions{Tolerance: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := SpectrumBudget(f, BudgetOptions{Tolerance: 0.1, ShellAveraging: true})
+	loose, err := SpectrumBudget(f, BudgetOptions{Tolerance: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(tight > 0 && loose > tight) {
 		t.Errorf("budgets not monotone in tolerance: %v vs %v", tight, loose)
-	}
-	// The paper's conservative single-bin mapping must be stricter.
-	conservative, err := SpectrumBudget(f, BudgetOptions{Tolerance: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conservative >= loose {
-		t.Errorf("single-bin budget %v not below shell-averaged %v", conservative, loose)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/apierr"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -76,52 +75,6 @@ func faultField(t *testing.T, n int) *grid.Field3D {
 	return f
 }
 
-func stepOnce(t *testing.T, cfg core.Config, snap map[string]*grid.Field3D, opt StepOptions) *StepResult {
-	t.Helper()
-	drv, err := New(cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := drv.StepCompressed(context.Background(), snap, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func TestStepBudgetScalesRoutePerField(t *testing.T) {
-	f := faultField(t, 16)
-	cfg := core.Config{PartitionDim: 8}
-	snap := map[string]*grid.Field3D{"rho": f}
-
-	unscaled := stepOnce(t, cfg, snap, StepOptions{BudgetScale: 1}).Fields["rho"].Bytes()
-	stepped := stepOnce(t, cfg, snap, StepOptions{BudgetScale: 4}).Fields["rho"].Bytes()
-	if string(unscaled) == string(stepped) {
-		t.Fatal("scale 4 produced the same archive as scale 1; the scales test cannot discriminate")
-	}
-
-	// A per-field override must win over the step-wide scale, byte for
-	// byte: this is the contract floor holding one tenant at cap while
-	// the batch runs stepped up.
-	floored := stepOnce(t, cfg, snap, StepOptions{
-		BudgetScale:  4,
-		BudgetScales: map[string]float64{"rho": 1},
-	}).Fields["rho"].Bytes()
-	if string(floored) != string(unscaled) {
-		t.Error("BudgetScales override did not reproduce the unscaled archive")
-	}
-
-	drv, err := New(cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := drv.StepCompressed(context.Background(), snap, StepOptions{
-		BudgetScales: map[string]float64{"rho": 0},
-	}); !errors.Is(err, apierr.ErrBadConfig) {
-		t.Errorf("non-positive per-field scale: err = %v, want ErrBadConfig", err)
-	}
-}
-
 func TestStepIsolatesCodecPanicPerField(t *testing.T) {
 	id := registerChaos(t)
 	good := faultField(t, 16)
@@ -140,7 +93,7 @@ func TestStepIsolatesCodecPanicPerField(t *testing.T) {
 		t.Fatalf("step error = %v; a per-field panic must not fail the step", err)
 	}
 	if res.Fields["good"] == nil {
-		t.Error("batch-mate of the panicking field lost its result")
+		t.Error("the field beside the panicking one lost its result")
 	}
 	ferr := res.Errs["bad"]
 	if ferr == nil {

@@ -287,24 +287,19 @@ func (r *RunStats) CompressMBPerSec() float64 {
 // StepOptions tunes a single step beyond the driver-wide Options.
 type StepOptions struct {
 	// BudgetScale multiplies every field's resolved error-bound budget for
-	// this step only (0 or 1 = unscaled; must not be negative). The
-	// compression service's load controller uses it to step rate targets
-	// down under pressure: a larger budget means larger error bounds,
-	// fewer bits, and a cheaper batch — and back to 1 when pressure
-	// clears. The per-field budget resolved at first calibration is stored
-	// unscaled, so scaling is stateless across steps.
+	// this step only (0 or 1 = unscaled; otherwise positive and finite).
+	// The compression service's load controller uses it to step rate
+	// targets down under pressure: a larger budget means larger error
+	// bounds, fewer bits, and a cheaper request — and back to 1 when
+	// pressure clears. The per-field budget resolved at first calibration
+	// is stored unscaled, so scaling is stateless across steps.
 	BudgetScale float64
-	// BudgetScales overrides BudgetScale for specific fields (keys are the
-	// snapshot's field names). The compression service uses it to hold a
-	// contract-floored tenant at its quality cap while the rest of the
-	// batch runs at the controller's stepped-up scale. Entries must be
-	// positive; a field absent from the map follows BudgetScale.
-	BudgetScales map[string]float64
 }
 
-// StepResult is one compressed snapshot with per-field granularity: the
-// compression service batches unrelated tenants' fields into one step, so
-// one hostile field must fail alone instead of aborting its batch-mates.
+// StepResult is one compressed snapshot with per-field granularity: every
+// field runs to its own outcome, whatever the scheduling, so Step can
+// report the name-first failure and one hostile field cannot take the
+// others' results with it.
 type StepResult struct {
 	// Stats is the step's aggregate stats over the fields that succeeded.
 	Stats *StepStats
@@ -517,11 +512,11 @@ func (d *Driver) Step(ctx context.Context, snap map[string]*grid.Field3D) (*Step
 // StepCompressed compresses one snapshot's fields like Step but returns
 // the compressed fields to the caller (nothing is written to the
 // configured archive writer) and isolates failures per field: each field
-// lands in StepResult.Fields or StepResult.Errs independently, so batches
-// that coalesce unrelated requests — the compression service's shared
-// pipeline batches — contain a failure to the request that caused it. The
-// returned error is non-nil only when the snapshot is empty or the step
-// was canceled; per-field errors never populate it.
+// lands in StepResult.Fields or StepResult.Errs independently. The
+// compression service runs each request as a one-field step through it.
+// The returned error is non-nil only when the snapshot is empty, the
+// budget scale is invalid, or the step was canceled; per-field errors
+// never populate it.
 func (d *Driver) StepCompressed(ctx context.Context, snap map[string]*grid.Field3D, opt StepOptions) (*StepResult, error) {
 	res, err := d.step(ctx, snap, opt)
 	if res != nil {
@@ -556,19 +551,8 @@ func (d *Driver) step(ctx context.Context, snap map[string]*grid.Field3D, opt St
 	if scale == 0 {
 		scale = 1
 	}
-	if scale < 0 {
-		return nil, fmt.Errorf("pipeline: %w: negative budget scale %g", apierr.ErrBadConfig, scale)
-	}
-	for name, sc := range opt.BudgetScales {
-		if sc <= 0 {
-			return nil, fmt.Errorf("pipeline: %w: non-positive budget scale %g for field %q", apierr.ErrBadConfig, sc, name)
-		}
-	}
-	scaleFor := func(name string) float64 {
-		if sc, ok := opt.BudgetScales[name]; ok {
-			return sc
-		}
-		return scale
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("pipeline: %w: budget scale %g is not positive and finite", apierr.ErrBadConfig, scale)
 	}
 	names := make([]string, 0, len(snap))
 	for name := range snap {
@@ -608,7 +592,7 @@ func (d *Driver) step(ctx context.Context, snap map[string]*grid.Field3D, opt St
 	// oversubscribe to FieldWorkers × engine workers goroutines.
 	parallel.ForEachCtx(fieldCtx, len(names), workers, func(i int) {
 		name := names[i]
-		cf, fs, next, err := d.compressFieldIsolated(ctx, name, snap[name], scaleFor(name))
+		cf, fs, next, err := d.compressFieldIsolated(ctx, name, snap[name], scale)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil {
@@ -656,8 +640,8 @@ func tagRefitFailure(name string, drift float64, err error) error {
 
 // compressFieldIsolated is compressField behind a panic barrier: one
 // field's panic (a codec bug detonating on one tenant's data) becomes that
-// field's error, exactly like any other per-field failure — its
-// batch-mates in the same step never notice. The barrier sits here, at the
+// field's error, exactly like any other per-field failure — the other
+// fields of the step never notice. The barrier sits here, at the
 // worker-pool boundary, because an unrecovered panic in a pool worker
 // would kill the whole process, not just the step. compressField works on
 // its own copy of the field's state and takes d.mu only to read it, so

@@ -534,9 +534,9 @@ func TestRefitFailureTagging(t *testing.T) {
 	}
 }
 
-// TestStepCompressedIsolatesFieldFailures: the service batches unrelated
-// tenants' fields into one step, so one bad field must fail alone — the
-// per-field Errs map carries it while its batch-mates still compress.
+// TestStepCompressedIsolatesFieldFailures: one bad field must fail alone —
+// the per-field Errs map carries it while the step's other fields still
+// compress.
 func TestStepCompressedIsolatesFieldFailures(t *testing.T) {
 	steps := testSteps(t, 32, 1, nyx.FieldBaryonDensity)
 	drv, err := New(core.Config{PartitionDim: 8}, Options{})
@@ -553,7 +553,7 @@ func TestStepCompressedIsolatesFieldFailures(t *testing.T) {
 	}
 	res, err := drv.StepCompressed(context.Background(), snap, StepOptions{})
 	if err != nil {
-		t.Fatalf("batch-level error for a single bad field: %v", err)
+		t.Fatalf("step-level error for a single bad field: %v", err)
 	}
 	if res.Errs["bad"] == nil {
 		t.Fatal("bad field's error lost")
@@ -563,7 +563,7 @@ func TestStepCompressedIsolatesFieldFailures(t *testing.T) {
 	}
 	cf := res.Fields["good"]
 	if cf == nil {
-		t.Fatal("good field aborted by its batch-mate")
+		t.Fatal("good field aborted by the bad one")
 	}
 	if _, err := cf.Decompress(context.Background()); err != nil {
 		t.Fatal(err)
@@ -610,12 +610,14 @@ func TestStepCompressedBudgetScale(t *testing.T) {
 		t.Fatalf("effective budget %g not 8× the base %g", looseEB, baseEB)
 	}
 
-	// A negative scale is a config error.
+	// A negative, NaN or infinite scale is a config error.
 	drv, err := New(core.Config{PartitionDim: 8}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := drv.StepCompressed(context.Background(), snap, StepOptions{BudgetScale: -1}); !errors.Is(err, apierr.ErrBadConfig) {
-		t.Fatalf("negative budget scale accepted: %v", err)
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := drv.StepCompressed(context.Background(), snap, StepOptions{BudgetScale: scale}); !errors.Is(err, apierr.ErrBadConfig) {
+			t.Fatalf("budget scale %g accepted: %v", scale, err)
+		}
 	}
 }

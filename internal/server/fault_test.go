@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -90,7 +91,7 @@ func TestDrainRefusesNewFinishesInflight(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("draining 503 is missing Retry-After")
 	}
-	if err := ErrorFromResponse(resp.StatusCode, out); !errors.Is(err, apierr.ErrDraining) {
+	if err := apierr.ErrorFromResponse(resp.StatusCode, out); !errors.Is(err, apierr.ErrDraining) {
 		t.Errorf("ErrorFromResponse = %v, want ErrDraining", err)
 	}
 
@@ -222,7 +223,7 @@ func TestOverloadResponseCarriesRetryAfter(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "30" {
 		t.Errorf("Retry-After = %q, want the clamped estimate \"30\"", got)
 	}
-	if err := ErrorFromResponse(resp.StatusCode, out); !errors.Is(err, apierr.ErrOverloaded) {
+	if err := apierr.ErrorFromResponse(resp.StatusCode, out); !errors.Is(err, apierr.ErrOverloaded) {
 		t.Errorf("ErrorFromResponse = %v, want ErrOverloaded", err)
 	}
 }
@@ -243,10 +244,10 @@ func TestCodecPanicIsolatedToOffendingRequest(t *testing.T) {
 		t.Errorf("500 body does not identify the panic: %s", out)
 	}
 
-	// The panic was contained one field deep: the batch backstop never
+	// The panic was contained one field deep: the execute backstop never
 	// fired, and the server keeps serving other tenants.
 	if n := s.Stats().Panics; n != 0 {
-		t.Errorf("batch-level panics = %d, want 0 (per-field isolation should have caught it)", n)
+		t.Errorf("execute-level panics = %d, want 0 (per-field isolation should have caught it)", n)
 	}
 	resp, out = post(t, ts.URL+"/v1/compress/rho", EncodeField(testField(t, 16)), map[string]string{"X-Tenant": "good"})
 	if resp.StatusCode != 200 {
@@ -254,37 +255,35 @@ func TestCodecPanicIsolatedToOffendingRequest(t *testing.T) {
 	}
 }
 
-func TestExecuteBackstopFailsOnlyUnansweredJobs(t *testing.T) {
-	s, err := newServer(testDriver(t, core.Config{}), core.CalibrationOptions{}, Config{}, time.Now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkJob := func(kind jobKind) *job {
-		return &job{
-			kind: kind, tenant: "t", field: "x",
-			data: testField(t, 16), cost: 4096,
-			ctx: context.Background(), queued: time.Now(),
-			done: make(chan jobResult, 1),
-		}
-	}
-	good := mkJob(jobCalibrate)
-	bad := mkJob(jobDecompress)
-	bad.cf = nil // nil-archive decompress: a genuine nil-deref panic in execute
+func TestExecuteBackstopKeepsWorkerAlive(t *testing.T) {
+	s, ts := testServer(t, core.Config{}, core.CalibrationOptions{}, Config{MaxInflight: 1})
 
-	s.execute([]*job{good, bad})
+	// A decompress job without an archive dereferences nil inside execute:
+	// a genuine panic below the backstop. HTTP cannot produce one (the
+	// archive is parsed at admission), so the job is admitted directly.
+	bad := &job{
+		kind: jobDecompress, tenant: "t", field: "(decompress)", cost: 1,
+		ctx: context.Background(), queued: time.Now(),
+		done: make(chan jobResult, 1),
+	}
+	_, err := s.await(bad)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("backstop error = %v, want a typed panic failure", err)
+	}
+	rec := httptest.NewRecorder()
+	apierr.WriteError(rec, err)
+	if rec.Code != http.StatusInternalServerError || errorCode(rec.Body.Bytes()) != "internal" {
+		t.Errorf("panicking job answered HTTP %d %s, want the typed 500", rec.Code, rec.Body.Bytes())
+	}
+	if n := s.Stats().Panics; n != 1 {
+		t.Errorf("panics = %d, want 1", n)
+	}
 
-	gr := <-good.done
-	if gr.err != nil || gr.cal == nil {
-		t.Errorf("already-answered batch-mate lost its result: err=%v", gr.err)
+	// The only worker survived the panic and serves the next request.
+	resp, out := post(t, ts.URL+"/v1/compress/rho", EncodeField(testField(t, 16)), nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("request after the panic: HTTP %d: %s", resp.StatusCode, out)
 	}
-	br := <-bad.done
-	if br.err == nil || !strings.Contains(br.err.Error(), "panicked") {
-		t.Errorf("backstop error = %v, want a typed batch-panic failure", br.err)
-	}
-	if n := s.m.panics.Load(); n != 1 {
-		t.Errorf("panics metric = %d, want 1", n)
-	}
-	_ = s.Close()
 }
 
 // --- per-tenant quality floors -------------------------------------------
@@ -302,18 +301,14 @@ func TestQualityFloorsCapBudgetScale(t *testing.T) {
 			kind: jobCompress, tenant: tenant, field: "rho",
 			data: testField(t, 16), cost: 4096,
 			ctx: context.Background(), queued: time.Now(),
-			done: make(chan jobResult, 1),
 		}
 	}
-	capped, free := mkJob("capped"), mkJob("free")
-
-	// Drive the batch at a stepped-up operating point, as the load
-	// controller would under pressure.
-	s.executeCompress([]*job{capped, free}, 2, 4.0)
-
-	cr, fr := <-capped.done, <-free.done
+	// Run at a stepped-up operating point (level 2 of the default ×2
+	// step), as the load controller would under pressure.
+	s.lc.level = 2
+	cr, fr := s.execute(mkJob("capped")), s.execute(mkJob("free"))
 	if cr.err != nil || fr.err != nil {
-		t.Fatalf("batch errors: capped=%v free=%v", cr.err, fr.err)
+		t.Fatalf("compress errors: capped=%v free=%v", cr.err, fr.err)
 	}
 	if cr.scale != 1 {
 		t.Errorf("floored tenant compressed at scale %g, contract cap is 1", cr.scale)
@@ -323,6 +318,12 @@ func TestQualityFloorsCapBudgetScale(t *testing.T) {
 	}
 	if string(cr.archive) == string(fr.archive) {
 		t.Error("floored and stepped-up archives are identical; the floor did not change the operating point")
+	}
+	// The floor holds the tenant at exactly the unscaled operating point:
+	// its bytes equal a fresh tenant's at level 0.
+	s.lc.level = 0
+	if rr := s.execute(mkJob("ref")); rr.err != nil || string(rr.archive) != string(cr.archive) {
+		t.Errorf("floored archive differs from the unscaled one (err %v)", rr.err)
 	}
 }
 

@@ -22,8 +22,9 @@ type AdaptConfig struct {
 	Enabled bool
 	// MaxLevel bounds how many steps the controller may take (default 4).
 	MaxLevel int
-	// EBStep is the per-level budget multiplier (default 2): at level L
-	// every budget is scaled by EBStep^L.
+	// EBStep is the per-level budget multiplier (default 2, also for any
+	// value ≤ 1; NaN and +Inf are rejected): at level L every budget is
+	// scaled by EBStep^L.
 	EBStep float64
 	// LatencySLO is the p99 request-latency target (default 250ms).
 	// Sustained p99 above it steps the level up.
@@ -120,8 +121,8 @@ func (lc *loadController) percentilesLocked() (p50, p99 time.Duration) {
 }
 
 // adjust runs one control decision against the current total queue depth.
-// Called by the dispatcher before launching a batch, so a decision is made
-// about as often as work is started — no dedicated ticker.
+// Called by a worker before it runs each job, so a decision is made about
+// as often as work is started — no dedicated ticker.
 func (lc *loadController) adjust(queueDepth int) {
 	if !lc.cfg.Enabled {
 		return

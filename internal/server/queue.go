@@ -22,8 +22,8 @@ const (
 )
 
 // job is one admitted request waiting in (or drained from) a tenant queue.
-// The handler blocks on done; the dispatcher owns the job from admission
-// until exactly one jobResult is delivered.
+// The handler blocks on done; the server owns the job from admission until
+// exactly one jobResult is delivered.
 type job struct {
 	kind   jobKind
 	tenant string
@@ -34,11 +34,6 @@ type job struct {
 	ctx    context.Context
 	queued time.Time
 	done   chan jobResult // buffered 1: delivery never blocks on a gone handler
-	// answered marks that a result was delivered. Only the goroutine that
-	// owns the job at that stage writes it; the panic backstop in execute
-	// reads it to fail exactly the jobs still unanswered (done is buffered
-	// 1, so a second send to an answered job would block forever).
-	answered bool
 }
 
 type jobResult struct {
@@ -57,8 +52,8 @@ type jobResult struct {
 type tenantQ struct {
 	name string
 	jobs []*job
-	// deficit is the DRR account: credited one quantum per dispatcher
-	// visit while backlogged, debited by each dispatched job's cost, so
+	// deficit is the DRR account: credited one quantum per visit while
+	// backlogged, debited by each dispatched job's cost, so
 	// tenants with many small fields and tenants with few huge ones get
 	// the same share of cells per round.
 	deficit int64
@@ -116,10 +111,7 @@ func (s *Server) admit(j *job) error {
 	s.queued++
 	s.mu.Unlock()
 	s.m.accepted.Add(1)
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.signal()
 	return nil
 }
 
@@ -159,53 +151,59 @@ func (s *Server) retryAfterLocked(tq *tenantQ) int {
 	return secs
 }
 
-// collectBatch runs one deficit-round-robin pass over the tenant queues
-// and returns the next batch (nil batch, ok=true means nothing eligible
-// right now; ok=false means the server is closed). Jobs whose context died
-// while queued are dropped here, answered immediately, and charged to
-// nobody's deficit.
-func (s *Server) collectBatch() (batch []*job, ok bool) {
+// nextJob makes one deficit-round-robin pick. It resumes the visit of the
+// tenant at rrPos: the first pick of a visit refills the tenant's tokens
+// and credits it one quantum, and the visit serves its head job for as
+// long as the deficit (and, when metered, the tokens) cover it; then the
+// visit ends and the pick moves on to the next tenant. Jobs whose context
+// died while queued are dropped here, answered immediately, and charged
+// to nobody's deficit. It returns nil when nothing is eligible right now,
+// together with the number of jobs still queued; ok is false once the
+// server is closed.
+func (s *Server) nextJob() (j *job, queued int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, false
+		return nil, 0, false
 	}
 	now := s.now()
-	var cells int64
-	n := len(s.order)
-	start := s.rrPos
-	for k := 0; k < n && len(batch) < s.cfg.MaxBatchFields && cells < s.cfg.MaxBatchCells; k++ {
-		tq := s.order[(start+k)%n]
-		if len(tq.jobs) == 0 {
-			tq.deficit = 0 // standard DRR: an idle tenant banks nothing
-			continue
-		}
-		tq.refill(now, s.cfg.TokenRate, s.cfg.TokenBurst)
-		tq.deficit += s.cfg.Quantum
-		for len(tq.jobs) > 0 && len(batch) < s.cfg.MaxBatchFields && cells < s.cfg.MaxBatchCells {
-			j := tq.jobs[0]
-			if j.ctx.Err() != nil {
-				tq.jobs = tq.jobs[1:]
-				s.queued--
-				s.m.canceled.Add(1)
-				j.answered = true
-				j.done <- jobResult{err: fmt.Errorf("server: abandoned in queue: %w", j.ctx.Err())}
+	for started := 0; s.visiting || started < len(s.order); {
+		tq := s.order[s.rrPos]
+		if !s.visiting {
+			started++
+			if len(tq.jobs) == 0 {
+				tq.deficit = 0 // standard DRR: an idle tenant banks nothing
+				s.rrPos = (s.rrPos + 1) % len(s.order)
 				continue
 			}
-			if j.cost > tq.deficit {
-				break
-			}
-			if s.cfg.TokenRate > 0 && float64(j.cost) > tq.tokens {
-				break
-			}
+			tq.refill(now, s.cfg.TokenRate, s.cfg.TokenBurst)
+			tq.deficit += s.cfg.Quantum
+			s.visiting = true
+		}
+		for len(tq.jobs) > 0 && tq.jobs[0].ctx.Err() != nil {
+			dead := tq.jobs[0]
 			tq.jobs = tq.jobs[1:]
 			s.queued--
-			tq.deficit -= j.cost
-			if s.cfg.TokenRate > 0 {
-				tq.tokens -= float64(j.cost)
+			s.m.canceled.Add(1)
+			dead.done <- jobResult{err: fmt.Errorf("server: abandoned in queue: %w", dead.ctx.Err())}
+		}
+		if len(tq.jobs) > 0 {
+			head := tq.jobs[0]
+			metered := s.cfg.TokenRate > 0
+			if head.cost <= tq.deficit && (!metered || float64(head.cost) <= tq.tokens) {
+				tq.jobs = tq.jobs[1:]
+				s.queued--
+				tq.deficit -= head.cost
+				if metered {
+					tq.tokens -= float64(head.cost)
+				}
+				if s.queued > 0 {
+					// One buffered wake-up may have been spent on this pick;
+					// pass it on so an idle worker takes the rest.
+					s.signal()
+				}
+				return head, s.queued, true
 			}
-			batch = append(batch, j)
-			cells += j.cost
 		}
 		if len(tq.jobs) == 0 {
 			tq.deficit = 0
@@ -215,189 +213,111 @@ func (s *Server) collectBatch() (batch []*job, ok bool) {
 			// long stall would convert into an unfair burst later.
 			tq.deficit = lim
 		}
+		s.visiting = false
+		s.rrPos = (s.rrPos + 1) % len(s.order)
 	}
-	if n > 0 {
-		s.rrPos = (start + 1) % n
-	}
-	return batch, true
+	return nil, s.queued, true
 }
 
-// dispatch is the single scheduler goroutine: it turns the tenant queues
-// into batches and hands each batch to an executor goroutine, itself
-// bounded by the inflight semaphore — the backpressure chain that keeps
-// thousands of connections from becoming thousands of concurrent
-// compressions.
-func (s *Server) dispatch() {
+// signal wakes one idle worker, if none is already due to wake.
+func (s *Server) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// worker is one of the MaxInflight engine loops — the backpressure chain
+// that keeps thousands of connections from becoming thousands of
+// concurrent compressions. It pulls jobs by deficit round-robin and runs
+// each as one engine call until the server closes, then fails whatever is
+// still queued.
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
-		batch, ok := s.collectBatch()
+		j, queued, ok := s.nextJob()
 		if !ok {
 			s.drainPending()
 			return
 		}
-		if len(batch) == 0 {
-			s.mu.Lock()
-			starved := s.queued > 0
-			s.mu.Unlock()
-			if starved {
-				// Jobs exist but none are eligible (token-starved or
-				// deficit-building): poll until refill makes progress.
-				select {
-				case <-s.baseCtx.Done():
-				case <-s.wake:
-				case <-time.After(2 * time.Millisecond):
-				}
-			} else {
-				select {
-				case <-s.baseCtx.Done():
-				case <-s.wake:
-				}
+		if j == nil {
+			// Jobs that exist but are not eligible (token-starved or
+			// building deficit) need a poll until refill makes progress;
+			// an empty queue waits for admission to signal.
+			var poll <-chan time.Time
+			if queued > 0 {
+				poll = time.After(2 * time.Millisecond)
 			}
-			if s.baseCtx.Err() != nil {
-				s.markClosed()
-				s.drainPending()
-				return
+			select {
+			case <-s.baseCtx.Done():
+			case <-s.wake:
+			case <-poll:
 			}
 			continue
 		}
-		s.lc.adjust(s.depth())
-		select {
-		case s.inflight <- struct{}{}:
-		case <-s.baseCtx.Done():
-			s.failBatch(batch)
-			s.markClosed()
-			s.drainPending()
-			return
-		}
-		s.m.batches.Add(1)
-		s.wg.Add(1)
-		go func(b []*job) {
-			defer s.wg.Done()
-			defer func() { <-s.inflight }()
-			s.execute(b)
-		}(batch)
+		s.lc.adjust(queued)
+		s.m.runs.Add(1)
+		s.finish(j, s.execute(j))
 	}
 }
 
-// execute runs one batch at the load controller's current operating point.
-// Compress jobs coalesce into shared pipeline steps; decompress and
-// calibrate jobs run individually (each already fans out over the shared
-// worker pool internally).
+// execute runs one job at the load controller's current operating point.
 //
-// The deferred recover is the batch-level panic backstop: execute runs in
-// its own goroutine, so an unrecovered panic anywhere below (a codec bug, a
-// hostile archive tripping an unchecked path) would kill the whole process.
-// Instead the panic is converted into a typed 500 for every job still
-// unanswered; already-answered batch-mates keep their results and the
-// dispatcher never notices. (Per-field panics inside shared compression
-// steps are caught a layer deeper, in pipeline.StepCompressed, so one
-// tenant's panic does not even fail its batch-mates.)
-func (s *Server) execute(batch []*job) {
+// The deferred recover is the panic backstop: an unrecovered panic below
+// (a codec bug, a hostile archive tripping an unchecked path) would kill
+// the whole process. Instead it becomes the job's typed 500 and the worker
+// carries on. Panics inside compression are caught a layer deeper, per
+// field, by pipeline.StepCompressed.
+func (s *Server) execute(j *job) (r jobResult) {
 	defer func() {
-		r := recover()
-		if r == nil {
+		p := recover()
+		if p == nil {
 			return
 		}
 		s.m.panics.Add(1)
-		err := fmt.Errorf("server: internal: batch execution panicked: %v", r)
-		if perr, ok := r.(error); ok {
-			err = fmt.Errorf("server: internal: batch execution panicked: %w", perr)
-		}
-		for _, j := range batch {
-			if !j.answered {
-				s.finish(j, jobResult{err: err})
-			}
+		r = jobResult{err: fmt.Errorf("server: internal: job execution panicked: %v", p)}
+		if perr, ok := p.(error); ok {
+			r.err = fmt.Errorf("server: internal: job execution panicked: %w", perr)
 		}
 	}()
 	level, scale := s.lc.levelScale()
-	var compress []*job
-	for _, j := range batch {
-		switch j.kind {
-		case jobCompress:
-			compress = append(compress, j)
-		case jobDecompress:
-			f, err := j.cf.Decompress(j.ctx)
-			s.finish(j, jobResult{field: f, level: level, scale: scale, err: err})
-		case jobCalibrate:
-			cal, err := s.drv.Engine().Calibrate(j.ctx, j.data, s.calOpts)
-			s.finish(j, jobResult{cal: cal, level: level, scale: scale, err: err})
+	r = jobResult{level: level, scale: scale}
+	switch j.kind {
+	case jobCompress:
+		// Contract floor: a floored tenant never compresses above its cap.
+		if cap, ok := s.cfg.QualityFloors[j.tenant]; ok {
+			r.scale = min(scale, cap)
 		}
+		r.archive, r.stats, r.err = s.compress(j, r.scale)
+	case jobDecompress:
+		r.field, r.err = j.cf.Decompress(j.ctx)
+	case jobCalibrate:
+		r.cal, r.err = s.drv.Engine().Calibrate(j.ctx, j.data, s.calOpts)
 	}
-	if len(compress) > 0 {
-		s.executeCompress(compress, level, scale)
-	}
+	return r
 }
 
-// stepKey namespaces a field per tenant inside shared pipeline batches, so
-// tenants get independent calibration state (and cannot collide on field
-// names). The separator is rejected in tenant and field names at the HTTP
+// stepKey namespaces a field per tenant in the pipeline driver, so tenants
+// get independent calibration state (and cannot collide on field names).
+// The separator is rejected in tenant and field names at the HTTP
 // boundary.
 func stepKey(tenant, field string) string { return tenant + "\x1f" + field }
 
-// executeCompress coalesces compress jobs into as few pipeline steps as
-// possible. Per-field failures inside a step stay with the request that
-// caused them (StepCompressed isolates them); only a same-tenant-same-field
-// collision forces a job into a follow-up step, since one snapshot can
-// hold each key once.
-func (s *Server) executeCompress(jobs []*job, level int, scale float64) {
-	rest := jobs
-	for len(rest) > 0 {
-		snap := make(map[string]*grid.Field3D, len(rest))
-		byKey := make(map[string]*job, len(rest))
-		var next []*job
-		for _, j := range rest {
-			key := stepKey(j.tenant, j.field)
-			if _, dup := byKey[key]; dup {
-				next = append(next, j)
-				continue
-			}
-			byKey[key] = j
-			snap[key] = j.data
-		}
-		// Contract floors: a floored tenant's effective scale is
-		// min(controller scale, its cap), applied per field key so the rest
-		// of the batch still runs at the controller's operating point.
-		var floors map[string]float64
-		for key, j := range byKey {
-			if cap, ok := s.cfg.QualityFloors[j.tenant]; ok && scale > cap {
-				if floors == nil {
-					floors = make(map[string]float64)
-				}
-				floors[key] = cap
-			}
-		}
-		// The batch runs under the server's own context, not any one job's:
-		// a client abandoning its request must not cancel batch-mates
-		// mid-step. Its cancellation was honored while the job was queued.
-		res, err := s.drv.StepCompressed(s.baseCtx, snap, pipeline.StepOptions{BudgetScale: scale, BudgetScales: floors})
-		if res != nil && err == nil {
-			s.archiveStep(res.Fields)
-		}
-		for key, j := range byKey {
-			r := jobResult{level: level, scale: scale}
-			if cap, ok := floors[key]; ok {
-				r.scale = cap // what this job actually compressed at
-			}
-			switch {
-			case res != nil && res.Fields[key] != nil:
-				r.archive = res.Fields[key].Bytes()
-				for i := range res.Stats.Fields {
-					if res.Stats.Fields[i].Name == key {
-						fs := res.Stats.Fields[i]
-						r.stats = &fs
-					}
-				}
-			case res != nil && res.Errs[key] != nil:
-				r.err = res.Errs[key]
-			case err != nil:
-				r.err = err
-			default:
-				r.err = fmt.Errorf("server: internal: field %q missing from step result", j.field)
-			}
-			s.finish(j, r)
-		}
-		rest = next
+// compress runs one field as a one-field pipeline step at the given budget
+// scale and appends it to the attached archive. The step runs under the
+// server's context, not the request's: Close cancels it, and a client's
+// own cancellation was honored while the job was queued.
+func (s *Server) compress(j *job, scale float64) ([]byte, *pipeline.FieldStats, error) {
+	key := stepKey(j.tenant, j.field)
+	res, err := s.drv.StepCompressed(s.baseCtx, map[string]*grid.Field3D{key: j.data}, pipeline.StepOptions{BudgetScale: scale})
+	if res != nil && res.Errs[key] != nil {
+		err = res.Errs[key]
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	s.archiveStep(res.Fields)
+	return res.Fields[key].Bytes(), &res.Stats.Fields[0], nil
 }
 
 // finish delivers a result, records its latency with the load controller,
@@ -411,18 +331,7 @@ func (s *Server) finish(j *job, r jobResult) {
 		s.m.cells.Add(uint64(j.cost))
 		s.m.bytesOut.Add(uint64(len(r.archive)))
 	}
-	j.answered = true
 	j.done <- r
-}
-
-// failBatch answers a collected-but-never-executed batch (shutdown won the
-// race for an inflight slot).
-func (s *Server) failBatch(batch []*job) {
-	for _, j := range batch {
-		s.m.failed.Add(1)
-		j.answered = true
-		j.done <- jobResult{err: fmt.Errorf("server: shutting down: %w", apierr.ErrOverloaded)}
-	}
 }
 
 // drainPending answers every still-queued job after shutdown.
@@ -437,7 +346,6 @@ func (s *Server) drainPending() {
 	s.mu.Unlock()
 	for _, j := range pending {
 		s.m.failed.Add(1)
-		j.answered = true
 		j.done <- jobResult{err: fmt.Errorf("server: shutting down: %w", apierr.ErrOverloaded)}
 	}
 }

@@ -4,12 +4,12 @@
 //
 // The design goal is bounded everything. Requests land in per-tenant
 // bounded FIFO queues (full queue → typed 429, the backpressure signal); a
-// single dispatcher turns the queues into shared pipeline batches by
-// deficit round-robin, so a tenant streaming thousands of small fields
-// cannot starve one submitting a few large ones; per-tenant token buckets
-// meter cells per second; an inflight-batch semaphore bounds concurrent
-// engine work, which itself fans out over the shared worker pool
-// (internal/parallel) rather than spawning per-request goroutines. On top
+// fixed set of MaxInflight workers pulls jobs from the queues by deficit
+// round-robin, so a tenant streaming thousands of small fields cannot
+// starve one submitting a few large ones, and runs each request as one
+// engine call, which itself fans out over the shared worker pool
+// (internal/parallel) rather than spawning per-request goroutines;
+// per-tenant token buckets meter cells per second. On top
 // of the pipeline's data-drift adaptation, a load controller steps
 // error-bound budgets up under pressure (queue depth, p99 latency vs SLO)
 // and back down when it clears — trading rate for throughput exactly when
@@ -19,19 +19,19 @@
 // Transport is HTTP/1.1 and cleartext HTTP/2 (h2c) from the stdlib; h2c is
 // what lets thousands of concurrent in situ ranks multiplex onto a few
 // connections. Failures map the apierr taxonomy onto typed JSON error
-// responses, so errors.Is-style dispatch survives the network hop as
-// machine-readable codes.
+// responses (apierr.WriteError), so errors.Is-style dispatch survives the
+// network hop as machine-readable codes.
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,23 +50,17 @@ type Config struct {
 	// MaxTenants bounds the tenant table (default 1024): tenant state must
 	// not grow without bound under hostile tenant-name churn.
 	MaxTenants int
-	// Quantum is the deficit-round-robin credit in cells per dispatcher
-	// visit (default 2^20). Tenants with queued work receive equal quanta,
+	// Quantum is the deficit-round-robin credit in cells per visit to a
+	// tenant (default 2^20). Tenants with queued work receive equal quanta,
 	// so throughput shares are equal in cells, not in requests.
 	Quantum int64
 	// TokenRate meters each tenant to this many cells per second
 	// (0 = unmetered). TokenBurst is the bucket size (default 4×Quantum).
 	TokenRate  float64
 	TokenBurst float64
-	// MaxBatchFields and MaxBatchCells bound one shared pipeline batch
-	// (defaults 16 fields, 2^24 cells). Small fields from many tenants
-	// coalesce up to these limits into one step.
-	MaxBatchFields int
-	MaxBatchCells  int64
-	// MaxInflightBatches bounds concurrently executing batches (default 2:
-	// one computing, one staged — each batch already saturates the worker
-	// pool, so more only adds memory pressure).
-	MaxInflightBatches int
+	// MaxInflight is the number of workers, and so bounds concurrently
+	// executing requests (default GOMAXPROCS).
+	MaxInflight int
 	// MaxBodyBytes caps a request body (default 2^28) and MaxFieldCells a
 	// decoded field (default 2^24 cells = 64 MiB of fp32).
 	MaxBodyBytes  int64
@@ -95,14 +89,8 @@ func (c Config) withDefaults() Config {
 	if c.TokenBurst == 0 {
 		c.TokenBurst = 4 * float64(c.Quantum)
 	}
-	if c.MaxBatchFields == 0 {
-		c.MaxBatchFields = 16
-	}
-	if c.MaxBatchCells == 0 {
-		c.MaxBatchCells = 1 << 24
-	}
-	if c.MaxInflightBatches == 0 {
-		c.MaxInflightBatches = 2
+	if c.MaxInflight == 0 {
+		c.MaxInflight = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 28
@@ -117,7 +105,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate rejects nonsensical knobs wrapping apierr.ErrBadConfig.
+// Validate rejects nonsensical knobs (NaN among them) wrapping
+// apierr.ErrBadConfig.
 func (c Config) Validate() error {
 	bad := func(what string, v any) error {
 		return fmt.Errorf("server: %w: %s must not be negative (got %v)", apierr.ErrBadConfig, what, v)
@@ -129,23 +118,21 @@ func (c Config) Validate() error {
 		return bad("MaxTenants", c.MaxTenants)
 	case c.Quantum < 0:
 		return bad("Quantum", c.Quantum)
-	case c.TokenRate < 0:
+	case !(c.TokenRate >= 0):
 		return bad("TokenRate", c.TokenRate)
-	case c.TokenBurst < 0:
+	case !(c.TokenBurst >= 0):
 		return bad("TokenBurst", c.TokenBurst)
-	case c.MaxBatchFields < 0:
-		return bad("MaxBatchFields", c.MaxBatchFields)
-	case c.MaxBatchCells < 0:
-		return bad("MaxBatchCells", c.MaxBatchCells)
-	case c.MaxInflightBatches < 0:
-		return bad("MaxInflightBatches", c.MaxInflightBatches)
+	case c.MaxInflight < 0:
+		return bad("MaxInflight", c.MaxInflight)
 	case c.MaxBodyBytes < 0:
 		return bad("MaxBodyBytes", c.MaxBodyBytes)
 	case c.MaxFieldCells < 0:
 		return bad("MaxFieldCells", c.MaxFieldCells)
+	case math.IsNaN(c.Adapt.EBStep) || math.IsInf(c.Adapt.EBStep, 0):
+		return fmt.Errorf("server: %w: Adapt.EBStep must be finite (got %g)", apierr.ErrBadConfig, c.Adapt.EBStep)
 	}
 	for tenant, cap := range c.QualityFloors {
-		if cap < 1 {
+		if !(cap >= 1) {
 			return fmt.Errorf("server: %w: quality floor for tenant %q must be ≥ 1 (got %g): 1 is the unscaled budget, the floor caps how far above it load stepping may go", apierr.ErrBadConfig, tenant, cap)
 		}
 	}
@@ -156,7 +143,7 @@ func (c Config) Validate() error {
 // never contends with the hot path.
 type metrics struct {
 	accepted, served, failed, rejected, canceled atomic.Uint64
-	batches, cells, bytesOut                     atomic.Uint64
+	runs, cells, bytesOut                        atomic.Uint64
 	panics, archiveErrs                          atomic.Uint64
 }
 
@@ -174,26 +161,26 @@ type Server struct {
 	baseCtx  context.Context
 	cancel   context.CancelFunc
 	wg       sync.WaitGroup
-	inflight chan struct{}
-	wake     chan struct{}
+	wake     chan struct{} // buffered 1: admission signals an idle worker
 	draining atomic.Bool
 
 	archMu sync.Mutex
 	arch   *core.StreamWriter
 
-	mu      sync.Mutex
-	tenants map[string]*tenantQ
-	order   []*tenantQ
-	rrPos   int
-	queued  int
-	closed  bool
+	mu       sync.Mutex
+	tenants  map[string]*tenantQ
+	order    []*tenantQ
+	rrPos    int  // the tenant the DRR pick visits
+	visiting bool // order[rrPos] has been credited for its current visit
+	queued   int
+	closed   bool
 
 	m metrics
 }
 
 // New builds a server over an existing pipeline driver (whose engine,
 // worker pool, and per-tenant-field calibration state it shares) and
-// starts its dispatcher. cal tunes the /v1/calibrate endpoint's sampling.
+// starts its workers. cal tunes the /v1/calibrate endpoint's sampling.
 func New(drv *pipeline.Driver, cal core.CalibrationOptions, cfg Config) (*Server, error) {
 	s, err := newServer(drv, cal, cfg, time.Now)
 	if err != nil {
@@ -203,8 +190,8 @@ func New(drv *pipeline.Driver, cal core.CalibrationOptions, cfg Config) (*Server
 	return s, nil
 }
 
-// newServer builds without starting the dispatcher — tests drive
-// collectBatch by hand against an injected clock.
+// newServer builds without starting the workers — tests drive nextJob by
+// hand against an injected clock.
 func newServer(drv *pipeline.Driver, cal core.CalibrationOptions, cfg Config, now func() time.Time) (*Server, error) {
 	if drv == nil {
 		return nil, fmt.Errorf("server: %w: nil pipeline driver", apierr.ErrBadConfig)
@@ -215,44 +202,34 @@ func newServer(drv *pipeline.Driver, cal core.CalibrationOptions, cfg Config, no
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		cfg:      cfg,
-		drv:      drv,
-		calOpts:  cal,
-		lc:       newLoadController(cfg.Adapt, now),
-		now:      now,
-		start:    now(),
-		baseCtx:  ctx,
-		cancel:   cancel,
-		inflight: make(chan struct{}, cfg.MaxInflightBatches),
-		wake:     make(chan struct{}, 1),
-		tenants:  make(map[string]*tenantQ),
+		cfg:     cfg,
+		drv:     drv,
+		calOpts: cal,
+		lc:      newLoadController(cfg.Adapt, now),
+		now:     now,
+		start:   now(),
+		baseCtx: ctx,
+		cancel:  cancel,
+		wake:    make(chan struct{}, 1),
+		tenants: make(map[string]*tenantQ),
 	}, nil
 }
 
-// Start launches the dispatcher. New calls it; only tests built on
-// newServer call it directly.
+// Start launches the MaxInflight workers. New calls it; only tests built
+// on newServer call it directly.
 func (s *Server) Start() {
-	s.wg.Add(1)
-	go s.dispatch()
-}
-
-// depth returns the total queued-job count.
-func (s *Server) depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued
-}
-
-func (s *Server) markClosed() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	for range s.cfg.MaxInflight {
+		s.wg.Add(1)
+		go s.worker()
+	}
 }
 
 // Close stops admission, fails every queued request with the overload
-// error, waits for in-flight batches, and returns. Idempotent.
+// error, waits for in-flight requests, and returns. Idempotent.
 func (s *Server) Close() error {
-	s.markClosed()
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
 	s.cancel()
 	s.wg.Wait()
 	return nil
@@ -293,9 +270,9 @@ func (s *Server) outstanding() uint64 {
 	return s.m.accepted.Load() - s.m.served.Load() - s.m.failed.Load() - s.m.canceled.Load()
 }
 
-// AttachArchive directs every successfully compressed batch into a v3
-// stream writer as one step (field names are the tenant-qualified step
-// keys). The caller owns the writer's lifecycle: attach before serving
+// AttachArchive directs every successfully compressed request into a v3
+// stream writer as one one-field step (the field name is the
+// tenant-qualified step key). The caller owns the writer's lifecycle: attach before serving
 // traffic, Close the server, then Close the writer for the footer — or
 // crash and let core.RecoverStream salvage the checkpointed prefix, which
 // is the chaos suite's whole scenario. Pass nil to detach.
@@ -305,11 +282,11 @@ func (s *Server) AttachArchive(sw *core.StreamWriter) {
 	s.archMu.Unlock()
 }
 
-// archiveStep appends one batch's compressed fields to the attached
-// archive, if any. Serialized by archMu: steps from concurrent batches
+// archiveStep appends one request's compressed field to the attached
+// archive, if any. Serialized by archMu: steps from concurrent requests
 // interleave whole, never torn. Write failures are counted but do not fail
-// the requests — the archive is an observer of the batch, not a stage in
-// it.
+// the request — the archive is an observer of the compression, not a stage
+// in it.
 func (s *Server) archiveStep(fields map[string]*core.CompressedField) {
 	s.archMu.Lock()
 	defer s.archMu.Unlock()
@@ -331,19 +308,20 @@ type Stats struct {
 	Canceled      uint64  `json:"canceled"`
 	Queued        int     `json:"queued"`
 	Tenants       int     `json:"tenants"`
-	Batches       uint64  `json:"batches"`
-	Level         int     `json:"level"`
-	BudgetScale   float64 `json:"budget_scale"`
-	StepUps       uint64  `json:"step_ups"`
-	StepDowns     uint64  `json:"step_downs"`
-	LatencyP50Ms  float64 `json:"latency_p50_ms"`
-	LatencyP99Ms  float64 `json:"latency_p99_ms"`
-	Cells         uint64  `json:"cells"`
-	BytesOut      uint64  `json:"bytes_out"`
+	// Batches counts engine runs: one per dispatched request.
+	Batches      uint64  `json:"batches"`
+	Level        int     `json:"level"`
+	BudgetScale  float64 `json:"budget_scale"`
+	StepUps      uint64  `json:"step_ups"`
+	StepDowns    uint64  `json:"step_downs"`
+	LatencyP50Ms float64 `json:"latency_p50_ms"`
+	LatencyP99Ms float64 `json:"latency_p99_ms"`
+	Cells        uint64  `json:"cells"`
+	BytesOut     uint64  `json:"bytes_out"`
 	// Draining is set while the server is in lame-duck mode.
 	Draining bool `json:"draining"`
-	// Panics counts batch executions that recovered from a panic; the
-	// panicking requests failed with typed 500s, their batch-mates did not.
+	// Panics counts request executions that recovered from a panic; each
+	// failed with a typed 500 and its worker carried on.
 	Panics uint64 `json:"panics"`
 	// ArchiveErrs counts attached-archive step writes that failed.
 	ArchiveErrs uint64 `json:"archive_errs"`
@@ -364,7 +342,7 @@ func (s *Server) Stats() Stats {
 		Canceled:      s.m.canceled.Load(),
 		Queued:        queued,
 		Tenants:       tenants,
-		Batches:       s.m.batches.Load(),
+		Batches:       s.m.runs.Load(),
 		Level:         level,
 		BudgetScale:   scale,
 		StepUps:       ups,
@@ -481,18 +459,18 @@ func (s *Server) requestSetup(w http.ResponseWriter, r *http.Request) (tenant st
 func (s *Server) handleField(w http.ResponseWriter, r *http.Request, kind jobKind) {
 	field := r.PathValue("field")
 	if !nameOK(field) {
-		WriteError(w, fmt.Errorf("server: %w: invalid field name %q", apierr.ErrBadConfig, field))
+		apierr.WriteError(w, fmt.Errorf("server: %w: invalid field name %q", apierr.ErrBadConfig, field))
 		return
 	}
 	tenant, body, ctx, cancel, err := s.requestSetup(w, r)
 	if err != nil {
-		WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	defer cancel()
 	f, err := DecodeField(body, s.cfg.MaxFieldCells)
 	if err != nil {
-		WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	j := &job{
@@ -502,7 +480,7 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request, kind jobKin
 	}
 	res, err := s.await(j)
 	if err != nil {
-		WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	switch kind {
@@ -520,7 +498,7 @@ func (s *Server) handleField(w http.ResponseWriter, r *http.Request, kind jobKin
 func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	tenant, body, ctx, cancel, err := s.requestSetup(w, r)
 	if err != nil {
-		WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	defer cancel()
@@ -529,11 +507,11 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	// occupies a queue slot.
 	cf, err := core.ParseCompressedField(body)
 	if err != nil {
-		WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	if n := int64(cf.N()); n > s.cfg.MaxFieldCells {
-		WriteError(w, fmt.Errorf("server: %w: archive holds %d cells, limit %d", apierr.ErrBadConfig, n, s.cfg.MaxFieldCells))
+		apierr.WriteError(w, fmt.Errorf("server: %w: archive holds %d cells, limit %d", apierr.ErrBadConfig, n, s.cfg.MaxFieldCells))
 		return
 	}
 	j := &job{
@@ -543,7 +521,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.await(j)
 	if err != nil {
-		WriteError(w, err)
+		apierr.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -551,8 +529,8 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 }
 
 // await admits a job and blocks until its result or its context's death —
-// whichever first. An abandoned job is dropped by the dispatcher when it
-// reaches the queue head (or executed harmlessly if already batched; the
+// whichever first. An abandoned job is dropped when the DRR pick reaches it
+// at its queue head (or executed harmlessly if already picked; the
 // buffered done channel absorbs the unread result).
 func (s *Server) await(j *job) (jobResult, error) {
 	if err := s.admit(j); err != nil {
@@ -608,101 +586,4 @@ func calibrationJSON(cal *core.Calibration) calibrationView {
 		Samples:         len(cal.PartitionIDs),
 		EBs:             cal.EBs,
 	}
-}
-
-// errorBody is the typed error envelope every non-2xx response carries.
-type errorBody struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-// statusCanceled is nginx's non-standard 499 "client closed request" —
-// the response is usually unobservable (the client left), but the code
-// keeps access logs honest about who ended the exchange.
-const statusCanceled = 499
-
-// statusOf maps the error taxonomy to HTTP statuses and stable
-// machine-readable codes — the network form of errors.Is.
-func statusOf(err error) (int, string) {
-	var mbe *http.MaxBytesError
-	switch {
-	case errors.As(err, &mbe):
-		return http.StatusRequestEntityTooLarge, "body_too_large"
-	case errors.Is(err, apierr.ErrDraining):
-		return http.StatusServiceUnavailable, "draining"
-	case errors.Is(err, apierr.ErrOverloaded):
-		return http.StatusTooManyRequests, "overloaded"
-	case errors.Is(err, apierr.ErrCorruptArchive):
-		return http.StatusUnprocessableEntity, "corrupt_archive"
-	case errors.Is(err, apierr.ErrCodecUnknown):
-		return http.StatusBadRequest, "codec_unknown"
-	case errors.Is(err, apierr.ErrDriftRecalibration):
-		return http.StatusInternalServerError, "drift_recalibration"
-	case errors.Is(err, apierr.ErrBadConfig):
-		return http.StatusBadRequest, "bad_config"
-	case errors.Is(err, apierr.ErrNotFound):
-		return http.StatusNotFound, "not_found"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "deadline_exceeded"
-	case errors.Is(err, context.Canceled):
-		return statusCanceled, "canceled"
-	default:
-		return http.StatusInternalServerError, "internal"
-	}
-}
-
-// WriteError renders a taxonomy error as the service's JSON error
-// envelope with the matching HTTP status and stable machine code —
-// shared with sibling services (the archive read server) so every
-// endpoint in the fleet speaks one error wire format and
-// ErrorFromResponse reverses all of them.
-func WriteError(w http.ResponseWriter, err error) {
-	status, code := statusOf(err)
-	var body errorBody
-	body.Error.Code = code
-	body.Error.Message = err.Error()
-	w.Header().Set("Content-Type", "application/json")
-	// Never-started refusals advertise when retrying is worthwhile. A 429
-	// carries the refusing queue's own backlog estimate when it made one
-	// (OverloadError.RetryAfterSeconds); a draining 503 says "now, but
-	// elsewhere" — the shortest honest hint.
-	if status == http.StatusTooManyRequests || code == "draining" {
-		secs := 1
-		var oe *apierr.OverloadError
-		if errors.As(err, &oe) && oe.RetryAfterSeconds > 0 {
-			secs = oe.RetryAfterSeconds
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-// ErrorFromResponse reconstructs the taxonomy sentinel from a typed error
-// response, so facade-level clients keep errors.Is across the network.
-// Returns nil when the response is not an error envelope the service
-// produced.
-func ErrorFromResponse(status int, body []byte) error {
-	var eb errorBody
-	if err := json.Unmarshal(body, &eb); err != nil || eb.Error.Code == "" {
-		return nil
-	}
-	sentinel := map[string]error{
-		"overloaded":          apierr.ErrOverloaded,
-		"draining":            apierr.ErrDraining,
-		"corrupt_archive":     apierr.ErrCorruptArchive,
-		"codec_unknown":       apierr.ErrCodecUnknown,
-		"bad_config":          apierr.ErrBadConfig,
-		"not_found":           apierr.ErrNotFound,
-		"drift_recalibration": apierr.ErrDriftRecalibration,
-		"deadline_exceeded":   context.DeadlineExceeded,
-		"canceled":            context.Canceled,
-	}[eb.Error.Code]
-	msg := strings.TrimSpace(eb.Error.Message)
-	if sentinel == nil {
-		return fmt.Errorf("server: HTTP %d: %s", status, msg)
-	}
-	return fmt.Errorf("server: HTTP %d: %w (%s)", status, sentinel, msg)
 }

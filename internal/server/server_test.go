@@ -68,6 +68,18 @@ func testServer(tb testing.TB, engCfg core.Config, cal core.CalibrationOptions, 
 	return s, ts
 }
 
+// errorCode returns the machine code of a typed error envelope, or "" when
+// body is not one.
+func errorCode(body []byte) string {
+	var eb struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	_ = json.Unmarshal(body, &eb)
+	return eb.Error.Code
+}
+
 func post(tb testing.TB, url string, body []byte, hdr map[string]string) (*http.Response, []byte) {
 	tb.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
@@ -190,15 +202,15 @@ func TestTypedErrorResponses(t *testing.T) {
 			if resp.StatusCode != tc.status {
 				t.Fatalf("HTTP %d, want %d (%s)", resp.StatusCode, tc.status, body)
 			}
-			var eb errorBody
-			if err := json.Unmarshal(body, &eb); err != nil {
-				t.Fatalf("error body is not the typed envelope: %v (%s)", err, body)
+			code := errorCode(body)
+			if code == "" {
+				t.Fatalf("error body is not the typed envelope: %s", body)
 			}
-			if eb.Error.Code != tc.code {
-				t.Errorf("code %q, want %q", eb.Error.Code, tc.code)
+			if code != tc.code {
+				t.Errorf("code %q, want %q", code, tc.code)
 			}
 			if tc.sentinel != nil {
-				if err := ErrorFromResponse(resp.StatusCode, body); !errors.Is(err, tc.sentinel) {
+				if err := apierr.ErrorFromResponse(resp.StatusCode, body); !errors.Is(err, tc.sentinel) {
 					t.Errorf("ErrorFromResponse = %v, does not match %v", err, tc.sentinel)
 				}
 			}
@@ -229,9 +241,7 @@ func TestOverloadReturnsTyped429(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			resp, body := post(t, ts.URL+"/v1/compress/f", payload, nil)
-			var eb errorBody
-			_ = json.Unmarshal(body, &eb)
-			results <- outcome{resp.StatusCode, eb.Error.Code, resp.Header.Get("Retry-After")}
+			results <- outcome{resp.StatusCode, errorCode(body), resp.Header.Get("Retry-After")}
 		}()
 	}
 
@@ -272,8 +282,8 @@ func TestOverloadReturnsTyped429(t *testing.T) {
 	}
 }
 
-// drrServer builds a server without a running dispatcher, so collectBatch
-// can be stepped by hand under a fake clock.
+// drrServer builds a server without running workers, so nextJob can be
+// stepped by hand under a fake clock.
 func drrServer(t *testing.T, clk *fakeClock, cfg Config) *Server {
 	t.Helper()
 	s, err := newServer(testDriver(t, core.Config{}), core.CalibrationOptions{}, cfg, clk.now)
@@ -297,9 +307,20 @@ func enqueue(t *testing.T, s *Server, tenant string, cost int64, n int) {
 	}
 }
 
-func tenantsOf(batch []*job) map[string]int {
+// picks makes n DRR picks and counts the jobs each tenant got; a pick
+// that finds nothing eligible counts under "".
+func picks(t *testing.T, s *Server, n int) map[string]int {
+	t.Helper()
 	m := make(map[string]int)
-	for _, j := range batch {
+	for range n {
+		j, _, ok := s.nextJob()
+		if !ok {
+			t.Fatal("server closed")
+		}
+		if j == nil {
+			m[""]++
+			continue
+		}
 		m[j.tenant]++
 	}
 	return m
@@ -307,23 +328,18 @@ func tenantsOf(batch []*job) map[string]int {
 
 func TestDeficitRoundRobinIsFair(t *testing.T) {
 	clk := newFakeClock()
-	s := drrServer(t, clk, Config{QueueDepth: 64, Quantum: 512, MaxBatchFields: 4, MaxBatchCells: 1 << 30})
+	s := drrServer(t, clk, Config{QueueDepth: 64, Quantum: 512})
 
 	// A hog with a deep backlog and a mouse with two requests, equal cost:
 	// the mouse must be served alongside the hog, not behind its backlog.
 	enqueue(t, s, "hog", 512, 10)
 	enqueue(t, s, "mouse", 512, 2)
 
-	batch1, ok := s.collectBatch()
-	if !ok {
-		t.Fatal("server closed")
+	if got := picks(t, s, 2); got["hog"] != 1 || got["mouse"] != 1 {
+		t.Fatalf("first two picks %v: both tenants must progress", got)
 	}
-	if got := tenantsOf(batch1); got["mouse"] != 1 || got["hog"] == 0 {
-		t.Fatalf("first batch %v: both tenants must progress", got)
-	}
-	batch2, _ := s.collectBatch()
-	if got := tenantsOf(batch2); got["mouse"] != 1 {
-		t.Fatalf("second batch %v: mouse's last job still waiting behind the hog", got)
+	if got := picks(t, s, 2); got["hog"] != 1 || got["mouse"] != 1 {
+		t.Fatalf("next two picks %v: mouse's last job still waiting behind the hog", got)
 	}
 }
 
@@ -332,12 +348,11 @@ func TestDeficitRoundRobinSharesCellsNotRequests(t *testing.T) {
 	// Quantum = one big job. The small-field tenant gets the same cells
 	// per round as the big-field tenant — i.e. many of its jobs per round,
 	// not one-for-one with the big jobs.
-	s := drrServer(t, clk, Config{QueueDepth: 64, Quantum: 4096, MaxBatchFields: 32, MaxBatchCells: 1 << 30})
+	s := drrServer(t, clk, Config{QueueDepth: 64, Quantum: 4096})
 	enqueue(t, s, "big", 4096, 4)
 	enqueue(t, s, "small", 256, 32)
 
-	batch, _ := s.collectBatch()
-	got := tenantsOf(batch)
+	got := picks(t, s, 1+4096/256)
 	if got["big"] != 1 {
 		t.Fatalf("big tenant got %d jobs of quantum-size cost, want 1", got["big"])
 	}
@@ -349,26 +364,23 @@ func TestDeficitRoundRobinSharesCellsNotRequests(t *testing.T) {
 func TestTokenBucketMetersTenants(t *testing.T) {
 	clk := newFakeClock()
 	s := drrServer(t, clk, Config{
-		QueueDepth: 64, Quantum: 1 << 20, MaxBatchFields: 16, MaxBatchCells: 1 << 30,
+		QueueDepth: 64, Quantum: 1 << 20,
 		TokenRate: 512, TokenBurst: 512,
 	})
 	enqueue(t, s, "metered", 512, 3)
 
-	if batch, _ := s.collectBatch(); len(batch) != 1 {
-		t.Fatalf("burst allows exactly one job, got %d", len(batch))
-	}
-	if batch, _ := s.collectBatch(); len(batch) != 0 {
-		t.Fatalf("tokens spent but %d jobs dispatched", len(batch))
+	if got := picks(t, s, 2); got["metered"] != 1 || got[""] != 1 {
+		t.Fatalf("burst allows exactly one job, got %v", got)
 	}
 	clk.advance(time.Second) // refills one job's worth
-	if batch, _ := s.collectBatch(); len(batch) != 1 {
+	if got := picks(t, s, 1); got["metered"] != 1 {
 		t.Fatal("refill did not release the next job")
 	}
 }
 
 func TestQueuedJobDroppedOnCancel(t *testing.T) {
 	clk := newFakeClock()
-	s := drrServer(t, clk, Config{QueueDepth: 64, Quantum: 1 << 20, MaxBatchFields: 16, MaxBatchCells: 1 << 30})
+	s := drrServer(t, clk, Config{QueueDepth: 64, Quantum: 1 << 20})
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		kind: jobCompress, tenant: "t", field: "f", cost: 64,
@@ -378,8 +390,7 @@ func TestQueuedJobDroppedOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	batch, _ := s.collectBatch()
-	if len(batch) != 0 {
+	if got, _, _ := s.nextJob(); got != nil {
 		t.Fatalf("canceled job was dispatched")
 	}
 	select {
@@ -390,8 +401,8 @@ func TestQueuedJobDroppedOnCancel(t *testing.T) {
 	default:
 		t.Fatal("dropped job never answered")
 	}
-	if s.depth() != 0 {
-		t.Fatalf("queue depth %d after drop", s.depth())
+	if n := s.Stats().Queued; n != 0 {
+		t.Fatalf("queue depth %d after drop", n)
 	}
 }
 
@@ -473,7 +484,7 @@ func TestConcurrentCompressAndCancel(t *testing.T) {
 	// them abandoning mid-flight, while stats polls — every request must
 	// get exactly one well-formed answer and shutdown must be clean.
 	s, ts := testServer(t, core.Config{}, core.CalibrationOptions{}, Config{
-		QueueDepth: 128, MaxBatchFields: 8, MaxInflightBatches: 2,
+		QueueDepth: 128, MaxInflight: 2,
 	})
 	payload := EncodeField(testField(t, 16))
 
@@ -497,9 +508,8 @@ func TestConcurrentCompressAndCancel(t *testing.T) {
 					if _, err := core.ParseCompressedField(body); err != nil {
 						errs <- fmt.Errorf("200 with unparseable archive: %w", err)
 					}
-				case http.StatusGatewayTimeout, http.StatusTooManyRequests, statusCanceled:
-					var eb errorBody
-					if json.Unmarshal(body, &eb) != nil || eb.Error.Code == "" {
+				case http.StatusGatewayTimeout, http.StatusTooManyRequests, 499: // 499: client closed request
+					if errorCode(body) == "" {
 						errs <- fmt.Errorf("HTTP %d without typed body: %s", resp.StatusCode, body)
 					}
 				default:
@@ -605,5 +615,19 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(drv, core.CalibrationOptions{}, Config{TokenRate: -3}); !errors.Is(err, apierr.ErrBadConfig) {
 		t.Errorf("negative TokenRate: %v", err)
+	}
+	// NaN compares false with everything, so a check written as "x < 0"
+	// lets it through: each of these would silently switch a guard off.
+	nan := math.NaN()
+	for name, cfg := range map[string]Config{
+		"NaN TokenRate":     {TokenRate: nan},
+		"NaN TokenBurst":    {TokenBurst: nan},
+		"NaN quality floor": {QualityFloors: map[string]float64{"t": nan}},
+		"NaN EBStep":        {Adapt: AdaptConfig{EBStep: nan}},
+		"+Inf EBStep":       {Adapt: AdaptConfig{EBStep: math.Inf(1)}},
+	} {
+		if _, err := New(drv, core.CalibrationOptions{}, cfg); !errors.Is(err, apierr.ErrBadConfig) {
+			t.Errorf("%s: %v, want ErrBadConfig", name, err)
+		}
 	}
 }
